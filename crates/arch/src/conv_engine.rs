@@ -18,16 +18,17 @@
 //! flatten → dense`, enough to classify the synthetic digit images
 //! end-to-end on simulated optics.
 
-use crate::engine::{cache_set, copy_reuse, reserve_to};
+use crate::engine::{
+    argmax, cache_set, copy_reuse, descend, fill_reuse, reserve_slots, reserve_to, softmax_grad,
+    GST_SLOPE,
+};
 use crate::error::ArchError;
-use crate::pe::{ProcessingElement, LOGIT_THRESHOLD};
+use crate::pe::LOGIT_THRESHOLD;
+use crate::tiled::{self, Agc, TileSeed, TiledMatrix, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{count, EnergyPj};
-
-/// GST activation slope (Fig. 3).
-const SLOPE: f64 = 0.34;
 
 /// Reusable CNN forward working memory — the conv-engine analogue of the
 /// MLP engine's `ForwardScratch`. The patch gather is restructured from
@@ -38,18 +39,14 @@ const SLOPE: f64 = 0.34;
 /// (MVM returns, latch vectors) sit outside this boundary.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// im2col matrix, `conv_h·conv_w` rows of `bank` (zero-padded) lanes.
+    /// im2col matrix, `conv_h·conv_w` rows of `in_c·k·k` patch values.
     cols: Vec<f64>,
-    /// Laser-normalized modulation row.
-    normalized: Vec<f64>,
     /// Per-position conv logits (`out_c` wide).
     logits: Vec<f64>,
     /// Post-activation conv feature map.
     activ: Vec<f64>,
     /// Pooled features entering the dense head.
     features: Vec<f64>,
-    /// Dense-head modulation slice.
-    slice: Vec<f64>,
     /// Per-sample outputs of the latest [`PhotonicCnn::try_forward_batch`].
     batch_out: Vec<Vec<f64>>,
     /// Heap-growth events on the managed buffers (and layer caches).
@@ -69,9 +66,10 @@ pub struct PhotonicCnn {
     conv_weights: Vec<f64>,
     /// Dense head, row-major `[classes × features]`.
     dense_weights: Vec<f64>,
-    conv_pes: Vec<ProcessingElement>,
-    dense_pes: Vec<ProcessingElement>,
-    bank: usize,
+    /// The filter bank on its single PE.
+    conv: TiledMatrix,
+    /// The dense head on its grid of PEs.
+    dense: TiledMatrix,
     weight_bits: u8,
     // Forward caches for training.
     cached_patches: Vec<Vec<f64>>,
@@ -99,10 +97,9 @@ impl PhotonicCnn {
         weight_bits: u8,
     ) -> Self {
         assert!(in_h > kernel && in_w > kernel, "image too small for the kernel");
-        let bank = 16;
         let patch = in_c * kernel * kernel;
-        assert!(patch <= bank, "receptive field must fit the bank's channels");
-        assert!(out_c <= bank, "filters must fit the bank's rows");
+        assert!(patch <= TILE, "receptive field must fit the bank's channels");
+        assert!(out_c <= TILE, "filters must fit the bank's rows");
         let (conv_h, conv_w) = (in_h - kernel + 1, in_w - kernel + 1);
         let (pool_h, pool_w) = (conv_h / 2, conv_w / 2);
         let features = out_c * pool_h * pool_w;
@@ -115,8 +112,6 @@ impl PhotonicCnn {
         let dense_weights: Vec<f64> =
             (0..classes * features).map(|_| rng.gen_range(-dense_limit..dense_limit)).collect();
 
-        let dense_rt = classes.div_ceil(bank);
-        let dense_ct = features.div_ceil(bank);
         let mut cnn = Self {
             in_h,
             in_w,
@@ -126,11 +121,8 @@ impl PhotonicCnn {
             classes,
             conv_weights,
             dense_weights,
-            conv_pes: vec![ProcessingElement::new(bank, bank, None)],
-            dense_pes: (0..dense_rt * dense_ct)
-                .map(|_| ProcessingElement::new(bank, bank, None))
-                .collect(),
-            bank,
+            conv: TiledMatrix::new(out_c, patch, |_| TileSeed::default()),
+            dense: TiledMatrix::new(classes, features, |_| TileSeed::default()),
             weight_bits,
             cached_patches: Vec::new(),
             cached_conv_logits: Vec::new(),
@@ -139,7 +131,8 @@ impl PhotonicCnn {
             extra_energy: EnergyLedger::new(),
             scratch: ConvScratch::default(),
         };
-        cnn.program_all();
+        cnn.conv.program(&cnn.conv_weights);
+        cnn.dense.program(&cnn.dense_weights);
         cnn
     }
 
@@ -158,40 +151,6 @@ impl PhotonicCnn {
     pub fn feature_count(&self) -> usize {
         let (h, w) = self.pool_hw();
         self.out_c * h * w
-    }
-
-    fn quantize(&self, w: f64) -> f64 {
-        let levels = (1u32 << self.weight_bits) - 1;
-        let step = 2.0 / f64::from(levels - 1);
-        (w.clamp(-1.0, 1.0) / step).round() * step
-    }
-
-    fn program_all(&mut self) {
-        // Conv filters into the single conv tile.
-        let patch = self.in_c * self.kernel * self.kernel;
-        let mut tile = vec![0.0; self.bank * self.bank];
-        for r in 0..self.out_c {
-            for c in 0..patch {
-                tile[r * self.bank + c] = self.conv_weights[r * patch + c];
-            }
-        }
-        self.conv_pes[0].program(&tile);
-        // Dense head tiles.
-        let features = self.feature_count();
-        let ct = features.div_ceil(self.bank);
-        for (t, pe) in self.dense_pes.iter_mut().enumerate() {
-            let (rt, ctile) = (t / ct, t % ct);
-            let mut tile = vec![0.0; self.bank * self.bank];
-            for i in 0..self.bank {
-                for j in 0..self.bank {
-                    let (gi, gj) = (rt * self.bank + i, ctile * self.bank + j);
-                    if gi < self.classes && gj < features {
-                        tile[i * self.bank + j] = self.dense_weights[gi * features + gj];
-                    }
-                }
-            }
-            pe.program(&tile);
-        }
     }
 
     /// Forward one image (`in_c·in_h·in_w` values in `[0, 1]`). Returns
@@ -213,17 +172,15 @@ impl PhotonicCnn {
         let mut scratch = std::mem::take(&mut self.scratch);
 
         // im2col gather: every receptive field lands in one reusable
-        // matrix, one zero-padded `bank`-wide row per output position
-        // (the per-position `patch_at` Vec of the pre-scratch code).
-        let had_cols = scratch.cols.capacity();
-        scratch.cols.clear();
-        scratch.cols.resize(positions * self.bank, 0.0);
-        if scratch.cols.capacity() > had_cols {
-            scratch.heap_allocs += 1;
-        }
+        // matrix, one row per output position (the per-position
+        // `patch_at` Vec of the pre-scratch code).
+        fill_reuse(&mut scratch.cols, &mut scratch.heap_allocs, |cols| {
+            cols.clear();
+            cols.resize(positions * patch_len, 0.0);
+        });
         for oy in 0..conv_h {
             for ox in 0..conv_w {
-                let mut i = (oy * conv_w + ox) * self.bank;
+                let mut i = (oy * conv_w + ox) * patch_len;
                 for c in 0..self.in_c {
                     for ky in 0..self.kernel {
                         for kx in 0..self.kernel {
@@ -238,40 +195,23 @@ impl PhotonicCnn {
 
         // Conv: stream each im2col row through the filter bank, fire the
         // GST activation per position (per-position f' bits cached to L1).
-        let had_activ = scratch.activ.capacity();
-        scratch.activ.clear();
-        scratch.activ.resize(self.out_c * positions, 0.0);
-        if scratch.activ.capacity() > had_activ {
-            scratch.heap_allocs += 1;
-        }
+        fill_reuse(&mut scratch.activ, &mut scratch.heap_allocs, |activ| {
+            activ.clear();
+            activ.resize(self.out_c * positions, 0.0);
+        });
         for oy in 0..conv_h {
             for ox in 0..conv_w {
                 let pos = oy * conv_w + ox;
-                let row = &scratch.cols[pos * self.bank..(pos + 1) * self.bank];
-                let scale = row.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-                let had = scratch.normalized.capacity();
-                scratch.normalized.clear();
-                scratch.normalized.extend(row.iter().map(|&v| v / scale));
-                if scratch.normalized.capacity() > had {
-                    scratch.heap_allocs += 1;
-                }
-                let h = self.conv_pes[0].mvm_unsigned(&scratch.normalized);
-                let had = scratch.logits.capacity();
-                scratch.logits.clear();
-                scratch.logits.extend(h.iter().take(self.out_c).map(|&v| v * scale));
-                if scratch.logits.capacity() > had {
-                    scratch.heap_allocs += 1;
-                }
-                let fired = self.conv_pes[0].latch_and_activate(&scratch.logits);
+                let patch = &scratch.cols[pos * patch_len..(pos + 1) * patch_len];
+                let conv = &mut self.conv;
+                fill_reuse(&mut scratch.logits, &mut scratch.heap_allocs, |h| {
+                    conv.mvm_agc(patch, Agc::Max, h, None);
+                });
+                let fired = self.conv.activate_band(0, &scratch.logits);
                 for (f, &y) in fired.iter().enumerate() {
                     scratch.activ[(f * conv_h + oy) * conv_w + ox] = y;
                 }
-                cache_set(
-                    &mut self.cached_patches,
-                    pos,
-                    &scratch.cols[pos * self.bank..pos * self.bank + patch_len],
-                    &mut scratch.heap_allocs,
-                );
+                cache_set(&mut self.cached_patches, pos, patch, &mut scratch.heap_allocs);
                 cache_set(
                     &mut self.cached_conv_logits,
                     pos,
@@ -289,12 +229,10 @@ impl PhotonicCnn {
         // 2×2 max pool with argmax routing cached.
         let (pool_h, pool_w) = self.pool_hw();
         let feature_total = self.feature_count();
-        let had_feat = scratch.features.capacity();
-        scratch.features.clear();
-        scratch.features.resize(feature_total, 0.0);
-        if scratch.features.capacity() > had_feat {
-            scratch.heap_allocs += 1;
-        }
+        fill_reuse(&mut scratch.features, &mut scratch.heap_allocs, |features| {
+            features.clear();
+            features.resize(feature_total, 0.0);
+        });
         let had_argmax = self.cached_pool_argmax.capacity();
         self.cached_pool_argmax.clear();
         self.cached_pool_argmax.resize(feature_total, 0);
@@ -325,36 +263,10 @@ impl PhotonicCnn {
         copy_reuse(&mut self.cached_features, &scratch.features, &mut scratch.heap_allocs);
 
         // Dense head.
-        let ct = feature_total.div_ceil(self.bank);
-        let scale = scratch.features.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-        let had_out = out.capacity();
-        out.clear();
-        out.resize(self.classes, 0.0);
-        if out.capacity() > had_out {
-            scratch.heap_allocs += 1;
-        }
-        for (t, pe) in self.dense_pes.iter_mut().enumerate() {
-            let (rt, ctile) = (t / ct, t % ct);
-            let had = scratch.slice.capacity();
-            scratch.slice.clear();
-            scratch.slice.resize(self.bank, 0.0);
-            if scratch.slice.capacity() > had {
-                scratch.heap_allocs += 1;
-            }
-            for j in 0..self.bank {
-                let src = ctile * self.bank + j;
-                if src < feature_total {
-                    scratch.slice[j] = scratch.features[src] / scale;
-                }
-            }
-            let partial = pe.mvm_unsigned(&scratch.slice);
-            for (i, &p) in partial.iter().enumerate() {
-                let row = rt * self.bank + i;
-                if row < self.classes {
-                    out[row] += p * scale;
-                }
-            }
-        }
+        let dense = &mut self.dense;
+        fill_reuse(out, &mut scratch.heap_allocs, |out| {
+            dense.mvm_agc(&scratch.features, Agc::Max, out, None);
+        });
         self.scratch = scratch;
     }
 
@@ -397,32 +309,15 @@ impl PhotonicCnn {
         let positions = conv_h * conv_w;
         let patch_len = self.in_c * self.kernel * self.kernel;
         let feature_total = self.feature_count();
-        let (bank, out_c, classes) = (self.bank, self.out_c, self.classes);
+        let (out_c, classes) = (self.out_c, self.classes);
         let s = &mut self.scratch;
-        reserve_to(&mut s.cols, positions * bank);
-        reserve_to(&mut s.normalized, bank);
+        reserve_to(&mut s.cols, positions * patch_len);
         reserve_to(&mut s.logits, out_c);
         reserve_to(&mut s.activ, out_c * positions);
         reserve_to(&mut s.features, feature_total);
-        reserve_to(&mut s.slice, bank);
-        while s.batch_out.len() < batch {
-            s.batch_out.push(Vec::new());
-        }
-        for slot in &mut s.batch_out {
-            reserve_to(slot, classes);
-        }
-        while self.cached_patches.len() < positions {
-            self.cached_patches.push(Vec::new());
-        }
-        for slot in &mut self.cached_patches {
-            reserve_to(slot, patch_len);
-        }
-        while self.cached_conv_logits.len() < positions {
-            self.cached_conv_logits.push(Vec::new());
-        }
-        for slot in &mut self.cached_conv_logits {
-            reserve_to(slot, out_c);
-        }
+        reserve_slots(&mut s.batch_out, batch, classes);
+        reserve_slots(&mut self.cached_patches, positions, patch_len);
+        reserve_slots(&mut self.cached_conv_logits, positions, out_c);
         if self.cached_pool_argmax.capacity() < feature_total {
             let need = feature_total - self.cached_pool_argmax.len();
             self.cached_pool_argmax.reserve(need);
@@ -486,7 +381,7 @@ impl PhotonicCnn {
                 let v = h.data()[pos * self.out_c + f];
                 let threshold = LOGIT_THRESHOLD as f32;
                 activ[f * positions + pos] =
-                    if v >= threshold { SLOPE as f32 * (v - threshold) } else { 0.0 };
+                    if v >= threshold { GST_SLOPE as f32 * (v - threshold) } else { 0.0 };
             }
         }
         self.digital_head(&activ)
@@ -519,7 +414,7 @@ impl PhotonicCnn {
                     }
                     let threshold = LOGIT_THRESHOLD as f32;
                     activ[f * positions + oy * conv_w + ox] =
-                        if v >= threshold { SLOPE as f32 * (v - threshold) } else { 0.0 };
+                        if v >= threshold { GST_SLOPE as f32 * (v - threshold) } else { 0.0 };
                 }
             }
         }
@@ -560,13 +455,7 @@ impl PhotonicCnn {
 
     /// Predicted class.
     pub fn predict(&mut self, image: &[f64]) -> usize {
-        let logits = self.forward(image);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax(&self.forward(image))
     }
 
     /// Accuracy over a labelled set.
@@ -587,80 +476,17 @@ impl PhotonicCnn {
     pub fn train_sample(&mut self, image: &[f64], label: usize, lr: f64) -> f64 {
         let logits = self.forward(image);
         // Softmax cross-entropy gradient (electronic, as in the paper).
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        let probs: Vec<f64> = exps.iter().map(|&e| e / sum).collect();
-        let loss = -probs[label].max(1e-12).ln();
-        let delta_out: Vec<f64> = probs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| if i == label { p - 1.0 } else { p })
-            .collect();
+        let (loss, delta_out) = softmax_grad(&logits, label);
 
         // Dense outer product: δW = δ ⊗ features (photonic, tile-wise).
-        let features = self.cached_features.clone();
-        let feature_total = self.feature_count();
-        let ct = feature_total.div_ceil(self.bank);
-        let f_scale = features.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        let mut dense_grad = vec![0.0; self.classes * feature_total];
-        for (t, pe) in self.dense_pes.iter_mut().enumerate() {
-            let (rt, ctile) = (t / ct, t % ct);
-            let dh_lo = rt * self.bank;
-            let dh_hi = (dh_lo + self.bank).min(self.classes);
-            if dh_lo >= self.classes {
-                continue;
-            }
-            let y_lo = ctile * self.bank;
-            let y_hi = (y_lo + self.bank).min(feature_total);
-            let y_slice: Vec<f64> =
-                features[y_lo..y_hi].iter().map(|&v| v / f_scale).collect();
-            let products = pe.outer_product(&delta_out[dh_lo..dh_hi], &y_slice);
-            for (i, row) in products.iter().enumerate() {
-                for (j, &p) in row.iter().enumerate() {
-                    dense_grad[(dh_lo + i) * feature_total + (y_lo + j)] = p * f_scale;
-                }
-            }
-        }
+        let dense_grad = self.dense.outer_product(&delta_out, &self.cached_features);
 
         // Gradient into the pooled features: δ_feat = Wᵀ δ (photonic
-        // signed MVM over transposed dense tiles).
-        let mut delta_feat = vec![0.0; feature_total];
-        {
-            // Program the transposed head, run, restore.
-            let rt_t = feature_total.div_ceil(self.bank);
-            let ct_t = self.classes.div_ceil(self.bank);
-            // Reuse the dense PE pool (same count: rt·ct == rt_t·ct_t may
-            // differ; guard by reprogramming only as many tiles as fit).
-            for t in 0..(rt_t * ct_t).min(self.dense_pes.len()) {
-                let (r, c) = (t / ct_t, t % ct_t);
-                let mut tile = vec![0.0; self.bank * self.bank];
-                for i in 0..self.bank {
-                    for j in 0..self.bank {
-                        let (gi, gj) = (r * self.bank + i, c * self.bank + j);
-                        if gi < feature_total && gj < self.classes {
-                            tile[i * self.bank + j] =
-                                self.dense_weights[gj * feature_total + gi];
-                        }
-                    }
-                }
-                self.dense_pes[t].program(&tile);
-                let mut slice = vec![0.0; self.bank];
-                for j in 0..self.bank {
-                    let src = c * self.bank + j;
-                    if src < self.classes {
-                        slice[j] = delta_out[src];
-                    }
-                }
-                let partial = self.dense_pes[t].mvm_signed(&slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank + i;
-                    if row < feature_total {
-                        delta_feat[row] += p;
-                    }
-                }
-            }
-        }
+        // signed MVM over the transposed head; the forward head is
+        // reprogrammed with the updated weights below).
+        let mut delta_feat = Vec::new();
+        self.dense.program_transposed(&self.dense_weights);
+        self.dense.mvm_signed_transposed(&delta_out, &mut delta_feat, None);
 
         // Unpool: route each feature's error to its argmax position, then
         // apply the per-position latched derivative.
@@ -678,7 +504,7 @@ impl PhotonicCnn {
             let f = src_idx / (conv_h * conv_w);
             let pos = oy * conv_w + ox;
             let h = self.cached_conv_logits[pos][f];
-            let fprime = if h >= LOGIT_THRESHOLD { SLOPE } else { 0.0 };
+            let fprime = if h >= LOGIT_THRESHOLD { GST_SLOPE } else { 0.0 };
             if fprime == 0.0 {
                 continue;
             }
@@ -688,24 +514,17 @@ impl PhotonicCnn {
             let p_scale =
                 patch.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
             let y_slice: Vec<f64> = patch.iter().map(|&v| v / p_scale).collect();
-            let products = self.conv_pes[0].outer_product(&[delta_h], &y_slice);
+            let products = self.conv.pes_mut()[0].outer_product(&[delta_h], &y_slice);
             for (j, &p) in products[0].iter().enumerate() {
                 conv_grad[f * patch_len + j] += p * p_scale;
             }
         }
 
         // Eq. 1 updates + reprogram.
-        for (w, &g) in self.dense_weights.iter_mut().zip(&dense_grad) {
-            *w = (*w - lr * g).clamp(-1.0, 1.0);
-        }
-        for (w, &g) in self.conv_weights.iter_mut().zip(&conv_grad) {
-            *w = (*w - lr * g).clamp(-1.0, 1.0);
-        }
-        let dense_q: Vec<f64> = self.dense_weights.iter().map(|&w| self.quantize(w)).collect();
-        let conv_q: Vec<f64> = self.conv_weights.iter().map(|&w| self.quantize(w)).collect();
-        self.dense_weights = dense_q;
-        self.conv_weights = conv_q;
-        self.program_all();
+        descend(&mut self.dense_weights, &dense_grad, lr, self.weight_bits);
+        descend(&mut self.conv_weights, &conv_grad, lr, self.weight_bits);
+        self.conv.program(&self.conv_weights);
+        self.dense.program(&self.dense_weights);
         loss
     }
 
@@ -730,13 +549,7 @@ impl PhotonicCnn {
 
     /// Total optical energy spent so far.
     pub fn total_energy(&self) -> EnergyPj {
-        let pe: EnergyPj = self
-            .conv_pes
-            .iter()
-            .chain(&self.dense_pes)
-            .map(|p| p.energy().total())
-            .sum();
-        pe + self.extra_energy.total()
+        tiled::total_energy([&self.conv, &self.dense]) + self.extra_energy.total()
     }
 
     /// Conv filter weights (master copy, for verification).
@@ -788,7 +601,7 @@ mod tests {
                                 * image[(oy + ky) * 8 + ox + kx];
                         }
                     }
-                    let y = if h >= LOGIT_THRESHOLD { SLOPE * (h - LOGIT_THRESHOLD) } else { 0.0 };
+                    let y = if h >= LOGIT_THRESHOLD { GST_SLOPE * (h - LOGIT_THRESHOLD) } else { 0.0 };
                     activ[(f * conv_h + oy) * conv_w + ox] = y;
                 }
             }

@@ -18,7 +18,7 @@
 //! tests below.
 
 use crate::engine::PhotonicMlp;
-use crate::pe::ProcessingElement;
+use crate::tiled::{self, TileSeed, TiledMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_photonics::units::EnergyPj;
@@ -27,11 +27,8 @@ use trident_photonics::units::EnergyPj;
 pub struct DfaFeedback {
     /// `B_k` for each hidden layer `k` (row-major `[hidden_k × classes]`).
     matrices: Vec<Vec<f64>>,
-    /// Dedicated PEs holding each `B_k`, programmed once.
-    pes: Vec<Vec<ProcessingElement>>,
-    dims: Vec<(usize, usize)>,
-    bank_rows: usize,
-    bank_cols: usize,
+    /// Dedicated PE grids holding each `B_k`, programmed once.
+    banks: Vec<TiledMatrix>,
 }
 
 impl DfaFeedback {
@@ -40,40 +37,20 @@ impl DfaFeedback {
     pub fn for_engine(engine: &PhotonicMlp, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let classes = engine.layer_dims(engine.layer_count() - 1).0;
-        let bank_rows = 16;
-        let bank_cols = 16;
         let mut matrices = Vec::new();
-        let mut pes = Vec::new();
-        let mut dims = Vec::new();
+        let mut banks = Vec::new();
         for k in 0..engine.layer_count() - 1 {
             let (hidden, _) = engine.layer_dims(k);
             // Feedback entries on the photonic weight scale.
             let limit = (1.0 / classes as f64).sqrt();
             let b: Vec<f64> =
                 (0..hidden * classes).map(|_| rng.gen_range(-limit..limit)).collect();
-            let rt = hidden.div_ceil(bank_rows);
-            let ct = classes.div_ceil(bank_cols);
-            let mut layer_pes = Vec::with_capacity(rt * ct);
-            for t in 0..rt * ct {
-                let mut pe = ProcessingElement::new(bank_rows, bank_cols, None);
-                let (r, c) = (t / ct, t % ct);
-                let mut tile = vec![0.0; bank_rows * bank_cols];
-                for i in 0..bank_rows {
-                    for j in 0..bank_cols {
-                        let (gi, gj) = (r * bank_rows + i, c * bank_cols + j);
-                        if gi < hidden && gj < classes {
-                            tile[i * bank_cols + j] = b[gi * classes + gj];
-                        }
-                    }
-                }
-                pe.program(&tile);
-                layer_pes.push(pe);
-            }
+            let mut bank = TiledMatrix::new(hidden, classes, |_| TileSeed::default());
+            bank.program(&b);
             matrices.push(b);
-            pes.push(layer_pes);
-            dims.push((hidden, classes));
+            banks.push(bank);
         }
-        Self { matrices, pes, dims, bank_rows, bank_cols }
+        Self { matrices, banks }
     }
 
     /// Number of hidden layers covered.
@@ -83,38 +60,14 @@ impl DfaFeedback {
 
     /// One-time optical programming energy of all feedback banks.
     pub fn programming_energy(&self) -> EnergyPj {
-        self.pes
-            .iter()
-            .flatten()
-            .map(|pe| pe.energy().get("gst write"))
-            .sum()
+        tiled::programming_energy(&self.banks)
     }
 
     /// Photonic projection `B_k · e` (signed MVM over the feedback bank).
     pub fn project(&mut self, k: usize, error: &[f64]) -> Vec<f64> {
-        let (hidden, classes) = self.dims[k];
-        assert_eq!(error.len(), classes, "error width mismatch");
-        let rt = hidden.div_ceil(self.bank_rows);
-        let ct = classes.div_ceil(self.bank_cols);
-        let mut v = vec![0.0; hidden];
-        for r in 0..rt {
-            for c in 0..ct {
-                let mut slice = vec![0.0; self.bank_cols];
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < classes {
-                        slice[j] = error[src];
-                    }
-                }
-                let partial = self.pes[k][r * ct + c].mvm_signed(&slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < hidden {
-                        v[row] += p;
-                    }
-                }
-            }
-        }
+        assert_eq!(error.len(), self.banks[k].in_dim(), "error width mismatch");
+        let mut v = Vec::new();
+        self.banks[k].mvm_signed(error, &mut v, None);
         v
     }
 
@@ -176,7 +129,7 @@ mod tests {
 
     #[test]
     fn projection_matches_matrix_math() {
-        let engine = PhotonicMlp::new(&[10, 8, 4], 16, 16, 5, None, 8);
+        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8);
         let mut fb = DfaFeedback::for_engine(&engine, 99);
         assert_eq!(fb.layer_count(), 1);
         let e = vec![0.5, -0.25, 0.75, -1.0];
@@ -194,7 +147,7 @@ mod tests {
 
     #[test]
     fn feedback_banks_are_programmed_once() {
-        let engine = PhotonicMlp::new(&[10, 8, 4], 16, 16, 5, None, 8);
+        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8);
         let mut fb = DfaFeedback::for_engine(&engine, 99);
         let before = fb.programming_energy();
         assert!(before.value() > 0.0);
@@ -208,7 +161,7 @@ mod tests {
     #[test]
     fn dfa_learns_the_digit_task() {
         let (xs, labels) = digit_data(3);
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, 8);
+        let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let mut fb = DfaFeedback::for_engine(&engine, 41);
         let history = train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 10);
         assert!(
@@ -224,10 +177,10 @@ mod tests {
         // §VI's point: DFA is the weaker signal. With identical budgets,
         // true backpropagation should do at least as well.
         let (xs, labels) = digit_data(3);
-        let mut bp = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, 8);
+        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let bp_outcome = bp.train(&xs, &labels, 0.1, 10);
 
-        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, 8);
+        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
         train_dfa(&mut dfa_engine, &mut fb, &xs, &labels, 0.3, 10);
         let dfa_acc = dfa_engine.accuracy(&xs, &labels);

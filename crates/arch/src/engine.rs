@@ -2,8 +2,8 @@
 //!
 //! One PE is allocated per 16×16 weight tile (the paper assigns "one PE to
 //! each layer" for networks that fit; tiling generalises that to arbitrary
-//! layer sizes). Inference keeps weights stationary; training follows the
-//! paper's per-sample schedule:
+//! layer sizes — see [`crate::tiled`]). Inference keeps weights
+//! stationary; training follows the paper's per-sample schedule:
 //!
 //! 1. **forward** — per layer: optical MVM tiles, electronic partial-sum
 //!    accumulation across column tiles, LDSU latch, GST activation.
@@ -22,6 +22,7 @@
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::{ProcessingElement, LOGIT_THRESHOLD};
+use crate::tiled::{self, Agc, TileSeed, TiledMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
@@ -32,7 +33,7 @@ use trident_photonics::units::{count, EnergyPj, Hours, Nanoseconds};
 use trident_streams::bank_identity;
 
 /// Activation slope of the GST cell (Fig. 3).
-const GST_SLOPE: f64 = 0.34;
+pub(crate) const GST_SLOPE: f64 = 0.34;
 
 /// Reusable forward-pass working memory. Every buffer is cleared and
 /// refilled in place each use, so once the engine is warm (capacities
@@ -44,8 +45,6 @@ const GST_SLOPE: f64 = 0.34;
 /// of the hardware model, not the dispatch path (DESIGN.md §15).
 #[derive(Debug, Default)]
 struct ForwardScratch {
-    /// Laser-modulation slice, `bank_cols` wide.
-    slice: Vec<f64>,
     /// Current activation vector for the single-sample path.
     y: Vec<f64>,
     /// Per-layer logit accumulator.
@@ -60,12 +59,10 @@ struct ForwardScratch {
 
 /// Clear-and-copy into a reused buffer, tallying capacity growth.
 pub(crate) fn copy_reuse(dst: &mut Vec<f64>, src: &[f64], allocs: &mut u64) {
-    let had = dst.capacity();
-    dst.clear();
-    dst.extend_from_slice(src);
-    if dst.capacity() > had {
-        *allocs += 1;
-    }
+    fill_reuse(dst, allocs, |dst| {
+        dst.clear();
+        dst.extend_from_slice(src);
+    });
 }
 
 /// Write layer `k`'s cache slot in place. The pre-scratch implementation
@@ -77,13 +74,36 @@ pub(crate) fn cache_set(cache: &mut Vec<Vec<f64>>, k: usize, src: &[f64], allocs
         cache.push(Vec::new());
         *allocs += 1;
     }
-    let slot = &mut cache[k];
-    let had = slot.capacity();
-    slot.clear();
-    slot.extend_from_slice(src);
-    if slot.capacity() > had {
+    copy_reuse(&mut cache[k], src, allocs);
+}
+
+/// Run `fill` on a reused buffer, tallying any capacity growth it causes.
+pub(crate) fn fill_reuse(dst: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&mut Vec<f64>)) {
+    let had = dst.capacity();
+    fill(dst);
+    if dst.capacity() > had {
         *allocs += 1;
     }
+}
+
+/// Quantize `w` onto the `bits`-bit tuning grid of `[-1, 1]`.
+pub(crate) fn quantize(w: f64, bits: u8) -> f64 {
+    let levels = (1u32 << bits) - 1;
+    let step = 2.0 / f64::from(levels - 1);
+    (w.clamp(-1.0, 1.0) / step).round() * step
+}
+
+/// Eq. 1 on master weights: `w ← q(clip(w − β·g))`.
+pub(crate) fn descend(weights: &mut [f64], grads: &[f64], learning_rate: f64, bits: u8) {
+    for (w, &g) in weights.iter_mut().zip(grads) {
+        *w = quantize((*w - learning_rate * g).clamp(-1.0, 1.0), bits);
+    }
+}
+
+/// Index of the largest logit, ranked with a total order so a NaN can
+/// never crash a classifier (0 for an empty slice).
+pub(crate) fn argmax(logits: &[f64]) -> usize {
+    logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
 }
 
 /// Grow `v`'s capacity to at least `cap` (warm-up helper, not counted).
@@ -93,15 +113,22 @@ pub(crate) fn reserve_to(v: &mut Vec<f64>, cap: usize) {
     }
 }
 
+/// Grow `slots` to at least `n` buffers of capacity `cap` each (warm-up
+/// helper, not counted).
+pub(crate) fn reserve_slots(slots: &mut Vec<Vec<f64>>, n: usize, cap: usize) {
+    slots.resize_with(slots.len().max(n), Vec::new);
+    for slot in slots {
+        reserve_to(slot, cap);
+    }
+}
+
 /// A dense network running on simulated photonic hardware.
 pub struct PhotonicMlp {
     dims: Vec<usize>,
     /// Master (electronic) weight copies, row-major `[out × in]` per layer.
     weights: Vec<Vec<f64>>,
-    /// One PE per (layer, row-tile, col-tile).
-    pes: Vec<Vec<ProcessingElement>>,
-    bank_rows: usize,
-    bank_cols: usize,
+    /// Each layer's weights on its grid of PEs.
+    layers: Vec<TiledMatrix>,
     /// Weight resolution in bits (8 for GST; 6 emulates thermal banks).
     weight_bits: u8,
     /// Cached per-layer inputs (`y_{k-1}`) from the latest forward pass.
@@ -115,8 +142,6 @@ pub struct PhotonicMlp {
     /// programming runs through the banks' closed-loop program-and-verify
     /// path with remap/mask degradation instead of ideal open-loop pulses.
     fault_tolerant_writes: bool,
-    /// Retry policy for the fault-tolerant write path.
-    write_policy: WriteVerifyPolicy,
     /// Pulse-jitter stream for program-and-verify writes.
     write_rng: StdRng,
     /// Reusable forward-pass working memory (zero-alloc steady state).
@@ -141,10 +166,6 @@ pub struct TrainingOutcome {
 /// Construction options for [`PhotonicMlp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
-    /// Weight-bank rows per PE.
-    pub bank_rows: usize,
-    /// Weight-bank columns per PE.
-    pub bank_cols: usize,
     /// Weight-initialisation seed.
     pub seed: u64,
     /// Receiver-noise seed (`None` = ideal detectors).
@@ -164,8 +185,6 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         Self {
-            bank_rows: 16,
-            bank_cols: 16,
             seed: 0,
             noise_seed: None,
             weight_bits: 8,
@@ -178,21 +197,11 @@ impl Default for EngineOptions {
 
 impl PhotonicMlp {
     /// Build a photonic MLP with layer widths `dims` (e.g. `[64, 16, 10]`)
-    /// on `bank_rows × bank_cols` PEs, Xavier-initialised from `seed`.
-    /// `noise_seed` enables receiver noise; `weight_bits` sets the
-    /// quantization the tuning technology supports.
-    pub fn new(
-        dims: &[usize],
-        bank_rows: usize,
-        bank_cols: usize,
-        seed: u64,
-        noise_seed: Option<u64>,
-        weight_bits: u8,
-    ) -> Self {
-        Self::with_options(
-            dims,
-            EngineOptions { bank_rows, bank_cols, seed, noise_seed, weight_bits, ..Default::default() },
-        )
+    /// on 16×16 PEs, Xavier-initialised from `seed`. `noise_seed` enables
+    /// receiver noise; `weight_bits` sets the quantization the tuning
+    /// technology supports.
+    pub fn new(dims: &[usize], seed: u64, noise_seed: Option<u64>, weight_bits: u8) -> Self {
+        Self::with_options(dims, EngineOptions { seed, noise_seed, weight_bits, ..Default::default() })
     }
 
     /// Build with full [`EngineOptions`] (fabrication variation etc.).
@@ -208,8 +217,6 @@ impl PhotonicMlp {
     /// Fallible form of [`PhotonicMlp::with_options`].
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
         let EngineOptions {
-            bank_rows,
-            bank_cols,
             seed,
             noise_seed,
             weight_bits,
@@ -221,51 +228,36 @@ impl PhotonicMlp {
         assert!((2..=8).contains(&weight_bits), "weight bits must be 2..=8");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut weights = Vec::new();
+        let mut layers = Vec::new();
         for k in 1..dims.len() {
             let (out, inp) = (dims[k], dims[k - 1]);
             let limit = (6.0 / (out + inp) as f64).sqrt().min(1.0);
             weights.push((0..out * inp).map(|_| rng.gen_range(-limit..limit)).collect());
+            // Every per-bank draw mixes the bank's (layer, tile) identity
+            // into its master seed (trident-streams owns the arithmetic).
+            layers.push(TiledMatrix::new(out, inp, |t| TileSeed {
+                noise: noise_seed.map(|s| bank_identity(s, k - 1, t)),
+                resonance_sigma_nm,
+                variation_seed: bank_identity(variation_seed, k - 1, t),
+                stat: stat.map(|params| (params, bank_identity(params.seed, k - 1, t))),
+            }));
         }
         let mut engine = Self {
             dims: dims.to_vec(),
             weights,
-            pes: Vec::new(),
-            bank_rows,
-            bank_cols,
+            layers,
             weight_bits,
             cached_inputs: Vec::new(),
             cached_logits: Vec::new(),
             extra_energy: EnergyLedger::new(),
             elapsed: Nanoseconds(0.0),
             fault_tolerant_writes: false,
-            write_policy: WriteVerifyPolicy::default(),
             write_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             scratch: ForwardScratch::default(),
         };
         for k in 0..engine.layer_count() {
-            let (rt, ct) = engine.tile_grid(k);
-            let mut layer_pes = Vec::with_capacity(rt * ct);
-            for t in 0..rt * ct {
-                let seed = noise_seed.map(|s| bank_identity(s, k, t));
-                let mut pe = ProcessingElement::with_variation(
-                    bank_rows,
-                    bank_cols,
-                    seed,
-                    resonance_sigma_nm,
-                    bank_identity(variation_seed, k, t),
-                );
-                if let Some(params) = stat {
-                    // Per-bank identity mixed into the master seed, the
-                    // same (k, t) convention the receiver-noise and
-                    // variation draws use (trident-streams owns the
-                    // derivation arithmetic).
-                    pe.bank_mut().enable_stat(params, bank_identity(params.seed, k, t));
-                }
-                layer_pes.push(pe);
-            }
-            engine.pes.push(layer_pes);
+            engine.program_layer(k)?;
         }
-        engine.program_forward_weights()?;
         Ok(engine)
     }
 
@@ -284,15 +276,19 @@ impl PhotonicMlp {
         &self.dims
     }
 
-    /// Tile grid `(row_tiles, col_tiles)` of layer `k`.
-    fn tile_grid(&self, k: usize) -> (usize, usize) {
-        let (out, inp) = self.layer_dims(k);
-        (out.div_ceil(self.bank_rows), inp.div_ceil(self.bank_cols))
-    }
-
     /// Total PEs allocated.
     pub fn pe_count(&self) -> usize {
-        self.pes.iter().map(Vec::len).sum()
+        self.pes().count()
+    }
+
+    /// Every PE, layer by layer in tile order.
+    fn pes(&self) -> impl Iterator<Item = &ProcessingElement> {
+        tiled::pes(&self.layers)
+    }
+
+    /// Every PE, layer by layer in tile order, mutably.
+    fn pes_mut(&mut self) -> impl Iterator<Item = &mut ProcessingElement> {
+        tiled::pes_mut(&mut self.layers)
     }
 
     /// Direct access to layer `k`'s master weights (for equivalence tests).
@@ -318,8 +314,8 @@ impl PhotonicMlp {
         if w.len() != out * inp {
             return Err(ArchError::ShapeMismatch { expected: out * inp, got: w.len() });
         }
-        self.weights[k] = w.iter().map(|&v| self.quantize(v)).collect();
-        self.program_layer_forward(k)
+        self.weights[k] = w.iter().map(|&v| quantize(v, self.weight_bits)).collect();
+        self.program_layer(k)
     }
 
     /// A copy of every layer's master weights, in layer order — the
@@ -372,7 +368,7 @@ impl PhotonicMlp {
             laser_droop: plan.laser_droop,
             drift_years: plan.drift_years,
         };
-        for pe in self.pes.iter_mut().flatten() {
+        for pe in self.pes_mut() {
             if plan.laser_droop > 0.0 {
                 pe.set_laser_droop(plan.laser_droop);
             }
@@ -416,7 +412,7 @@ impl PhotonicMlp {
     /// engine.
     pub fn advance_deployment(&mut self, delta: Hours) {
         let _span = obs::span("engine.advance_deployment");
-        for pe in self.pes.iter_mut().flatten() {
+        for pe in self.pes_mut() {
             pe.bank_mut().advance_hours(delta);
         }
     }
@@ -429,11 +425,7 @@ impl PhotonicMlp {
     /// statistical layer.
     pub fn calibrate_drift_compensation(&mut self) -> EnergyPj {
         let _span = obs::span("engine.drift_calibration");
-        let mut spent = EnergyPj::ZERO;
-        for pe in self.pes.iter_mut().flatten() {
-            spent += pe.bank_mut().calibrate_compensation();
-        }
-        spent
+        tiled::calibrate(&mut self.layers)
     }
 
     /// Open every bank's drift-compensation loop (gain back to unity) for
@@ -442,7 +434,7 @@ impl PhotonicMlp {
     /// for why training under a stale gain is unsafe. A no-op without the
     /// statistical layer.
     pub fn disengage_drift_compensation(&mut self) {
-        for pe in self.pes.iter_mut().flatten() {
+        for pe in self.pes_mut() {
             pe.bank_mut().disengage_compensation();
         }
     }
@@ -450,7 +442,7 @@ impl PhotonicMlp {
     /// Whether the statistical device layer is active on the engine's
     /// banks.
     pub fn stat_enabled(&self) -> bool {
-        self.pes.iter().flatten().any(|pe| pe.bank().stat_enabled())
+        self.pes().any(|pe| pe.bank().stat_enabled())
     }
 
     /// Whether programming runs through the fault-tolerant verified path.
@@ -467,101 +459,29 @@ impl PhotonicMlp {
     /// Writes rejected by stuck cells or failed by verify, summed over
     /// every bank.
     pub fn write_failures(&self) -> u64 {
-        self.pes.iter().flatten().map(|pe| pe.bank().write_failures()).sum()
+        self.pes().map(|pe| pe.bank().write_failures()).sum()
     }
 
     /// Faulty or worn cells remapped onto spare rings, summed over banks.
     pub fn remapped_rings(&self) -> u64 {
-        self.pes.iter().flatten().map(|pe| pe.bank().remapped_count()).sum()
+        self.pes().map(|pe| pe.bank().remapped_count()).sum()
     }
 
     /// Dead slots masked out of the optics, summed over banks.
     pub fn masked_rings(&self) -> usize {
-        self.pes.iter().flatten().map(|pe| pe.bank().masked_count()).sum()
+        self.pes().map(|pe| pe.bank().masked_count()).sum()
     }
 
-    fn quantize(&self, w: f64) -> f64 {
-        let levels = (1u32 << self.weight_bits) - 1;
-        let step = 2.0 / f64::from(levels - 1);
-        (w.clamp(-1.0, 1.0) / step).round() * step
-    }
-
-    /// Extract the `bank_rows × bank_cols` tile `(rt, ct)` of `matrix`
-    /// (`out × in` row-major), zero-padded at the edges. `transpose`
-    /// extracts from the transposed matrix instead.
-    fn tile_of(
-        &self,
-        matrix: &[f64],
-        out: usize,
-        inp: usize,
-        rt: usize,
-        ct: usize,
-        transpose: bool,
-    ) -> Vec<f64> {
-        let mut tile = vec![0.0; self.bank_rows * self.bank_cols];
-        for r in 0..self.bank_rows {
-            for c in 0..self.bank_cols {
-                let (i, j) = (rt * self.bank_rows + r, ct * self.bank_cols + c);
-                let v = if transpose {
-                    // element (i, j) of Wᵀ = element (j, i) of W
-                    if i < inp && j < out {
-                        matrix[j * inp + i]
-                    } else {
-                        0.0
-                    }
-                } else if i < out && j < inp {
-                    matrix[i * inp + j]
-                } else {
-                    0.0
-                };
-                tile[r * self.bank_cols + c] = v;
-            }
-        }
-        tile
-    }
-
-    fn program_layer_forward(&mut self, k: usize) -> Result<(), ArchError> {
-        let (out, inp) = self.layer_dims(k);
-        let (_, ct) = self.tile_grid(k);
-        let weights = self.weights[k].clone();
-        let (rt, _) = self.tile_grid(k);
-        let policy = self.write_policy;
-        for r in 0..rt {
-            for c in 0..ct {
-                let tile = self.tile_of(&weights, out, inp, r, c, false);
-                if self.fault_tolerant_writes {
-                    // Closed-loop writes; per-cell failures are absorbed
-                    // by the bank's remap/mask degradation and tallied in
-                    // the ring counters, so only internal-shape bugs can
-                    // error here.
-                    self.pes[k][r * ct + c]
-                        .program_verified(&tile, &policy, &mut self.write_rng)?;
-                } else {
-                    self.pes[k][r * ct + c].program(&tile);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn program_forward_weights(&mut self) -> Result<(), ArchError> {
-        for k in 0..self.layer_count() {
-            self.program_layer_forward(k)?;
-        }
-        Ok(())
-    }
-
-    fn program_layer_transposed(&mut self, k: usize) {
-        let (out, inp) = self.layer_dims(k);
-        let weights = self.weights[k].clone();
-        // Wᵀ is inp × out: its tile grid.
-        let rt = inp.div_ceil(self.bank_rows);
-        let ct = out.div_ceil(self.bank_cols);
-        for r in 0..rt {
-            for c in 0..ct {
-                let tile = self.tile_of(&weights, out, inp, r, c, true);
-                self.pes[k][r * ct + c].program(&tile);
-            }
+    /// Program layer `k`'s master weights into its forward banks: open
+    /// loop, or closed-loop program-and-verify with remap/mask
+    /// degradation once the engine writes fault-tolerantly.
+    fn program_layer(&mut self, k: usize) -> Result<(), ArchError> {
+        let (layer, w) = (&mut self.layers[k], &self.weights[k]);
+        if self.fault_tolerant_writes {
+            layer.program_verified(w, &WriteVerifyPolicy::default(), &mut self.write_rng)
+        } else {
+            layer.program(w);
+            Ok(())
         }
     }
 
@@ -613,20 +533,13 @@ impl PhotonicMlp {
         let allocs_before = scratch.heap_allocs;
         let mut y = std::mem::take(&mut scratch.y);
         copy_reuse(&mut y, x, &mut scratch.heap_allocs);
-        let layer_count = self.layer_count();
-        for k in 0..layer_count {
+        for k in 0..self.layer_count() {
             let _layer_span = if trace {
                 obs::span_owned(format!("forward.layer{k}"))
             } else {
                 obs::SpanGuard::disabled()
             };
-            let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-            self.forward_layer_step(k, k + 1 == layer_count, tail, &mut y, &mut scratch);
-            if trace {
-                let dt = self.total_elapsed() - sim_start;
-                obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, dt.value());
-                obs::add(obs::Counter::LayersForwarded, 1);
-            }
+            self.forward_layer_step(k, tail, trace, &mut y, &mut scratch);
         }
         copy_reuse(out, &y, &mut scratch.heap_allocs);
         scratch.y = y;
@@ -645,70 +558,39 @@ impl PhotonicMlp {
     /// PE call sequence, same psum energy charges — only the transient
     /// `vec![]`s are replaced by reused buffers, so outputs stay bitwise
     /// identical (pinned by `scratch_forward_is_bitwise_identical` below).
+    /// With `trace`, the layer's simulated time is tallied to obs.
     fn forward_layer_step(
         &mut self,
         k: usize,
-        last: bool,
         tail: bool,
+        trace: bool,
         y: &mut Vec<f64>,
         scratch: &mut ForwardScratch,
     ) {
+        let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
+        let last = k + 1 == self.layer_count();
         cache_set(&mut self.cached_inputs, k, y, &mut scratch.heap_allocs);
-        let (out, inp) = self.layer_dims(k);
-        let (rt_n, ct_n) = self.tile_grid(k);
-        // Normalize activations onto the lasers (electronic AGC).
-        let scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        let had_h = scratch.h.capacity();
-        scratch.h.clear();
-        scratch.h.resize(out, 0.0);
-        if scratch.h.capacity() > had_h {
-            scratch.heap_allocs += 1;
-        }
-        for r in 0..rt_n {
-            for c in 0..ct_n {
-                let had_slice = scratch.slice.capacity();
-                scratch.slice.clear();
-                scratch.slice.resize(self.bank_cols, 0.0);
-                if scratch.slice.capacity() > had_slice {
-                    scratch.heap_allocs += 1;
-                }
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < inp {
-                        scratch.slice[j] = (y[src] / scale).max(0.0);
-                    }
-                }
-                let partial = self.pes[k][r * ct_n + c].mvm_unsigned(&scratch.slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < out {
-                        scratch.h[row] += p * scale;
-                        if c > 0 {
-                            self.extra_energy.charge("psum accumulate", EnergyPj(0.1));
-                        }
-                    }
-                }
-            }
-        }
+        let (layer, extra) = (&mut self.layers[k], &mut self.extra_energy);
+        fill_reuse(&mut scratch.h, &mut scratch.heap_allocs, |h| {
+            layer.mvm_agc(y, Agc::AbsClamped, h, Some(extra));
+        });
         cache_set(&mut self.cached_logits, k, &scratch.h, &mut scratch.heap_allocs);
         if last && tail {
             // Output layer: identity (read by the loss).
             copy_reuse(y, &scratch.h, &mut scratch.heap_allocs);
         } else {
-            // Activation rows live on the (rt, 0) PEs.
-            let had_act = scratch.act.capacity();
-            scratch.act.clear();
-            scratch.act.resize(out, 0.0);
-            if scratch.act.capacity() > had_act {
-                scratch.heap_allocs += 1;
-            }
-            for r in 0..rt_n {
-                let lo = r * self.bank_rows;
-                let hi = (lo + self.bank_rows).min(out);
-                let fired = self.pes[k][r * ct_n].latch_and_activate(&scratch.h[lo..hi]);
-                scratch.act[lo..hi].copy_from_slice(&fired);
-            }
+            let h = &scratch.h;
+            fill_reuse(&mut scratch.act, &mut scratch.heap_allocs, |act| {
+                act.clear();
+                act.resize(h.len(), 0.0);
+                layer.activate(h, act);
+            });
             copy_reuse(y, &scratch.act, &mut scratch.heap_allocs);
+        }
+        if trace {
+            let dt = self.total_elapsed() - sim_start;
+            obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, dt.value());
+            obs::add(obs::Counter::LayersForwarded, 1);
         }
     }
 
@@ -752,27 +634,18 @@ impl PhotonicMlp {
             scratch.heap_allocs += 1;
         }
         for (s, x) in inputs.iter().enumerate() {
-            let mut slot = std::mem::take(&mut scratch.batch_out[s]);
-            copy_reuse(&mut slot, x.as_ref(), &mut scratch.heap_allocs);
-            scratch.batch_out[s] = slot;
+            copy_reuse(&mut scratch.batch_out[s], x.as_ref(), &mut scratch.heap_allocs);
         }
-        let layer_count = self.layer_count();
-        for k in 0..layer_count {
+        for k in 0..self.layer_count() {
             let _layer_span = if trace {
                 obs::span_owned(format!("forward.layer{k}"))
             } else {
                 obs::SpanGuard::disabled()
             };
             for s in 0..n {
-                let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
                 let mut y = std::mem::take(&mut scratch.batch_out[s]);
-                self.forward_layer_step(k, k + 1 == layer_count, tail, &mut y, &mut scratch);
+                self.forward_layer_step(k, tail, trace, &mut y, &mut scratch);
                 scratch.batch_out[s] = y;
-                if trace {
-                    let dt = self.total_elapsed() - sim_start;
-                    obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, dt.value());
-                    obs::add(obs::Counter::LayersForwarded, 1);
-                }
             }
         }
         obs::add(obs::Counter::HotPathAllocs, scratch.heap_allocs - allocs_before);
@@ -788,30 +661,13 @@ impl PhotonicMlp {
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
         let wmax = self.dims.iter().copied().max().unwrap_or(0);
         let layers = self.layer_count();
-        let bank_cols = self.bank_cols;
         let s = &mut self.scratch;
-        reserve_to(&mut s.slice, bank_cols);
         reserve_to(&mut s.y, wmax);
         reserve_to(&mut s.h, wmax);
         reserve_to(&mut s.act, wmax);
-        while s.batch_out.len() < batch {
-            s.batch_out.push(Vec::new());
-        }
-        for slot in &mut s.batch_out {
-            reserve_to(slot, wmax);
-        }
-        while self.cached_inputs.len() < layers {
-            self.cached_inputs.push(Vec::new());
-        }
-        for slot in &mut self.cached_inputs {
-            reserve_to(slot, wmax);
-        }
-        while self.cached_logits.len() < layers {
-            self.cached_logits.push(Vec::new());
-        }
-        for slot in &mut self.cached_logits {
-            reserve_to(slot, wmax);
-        }
+        reserve_slots(&mut s.batch_out, batch, wmax);
+        reserve_slots(&mut self.cached_inputs, layers, wmax);
+        reserve_slots(&mut self.cached_logits, layers, wmax);
     }
 
     /// Heap-growth events on the forward hot path since construction
@@ -834,13 +690,7 @@ impl PhotonicMlp {
     /// ranked with a total order, so a pathological output can never
     /// crash the classifier.
     pub fn try_predict(&mut self, x: &[f64]) -> Result<usize, ArchError> {
-        let logits = self.try_forward(x)?;
-        Ok(logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0))
+        Ok(argmax(&self.try_forward(x)?))
     }
 
     /// Accuracy over a set of samples.
@@ -937,8 +787,7 @@ impl PhotonicMlp {
             let delta = if k + 1 == layer_count {
                 error.clone()
             } else {
-                let projected = project(k, &error);
-                self.hadamard_with_latched_derivatives(k, &projected)
+                self.layers[k].hadamard(&project(k, &error))
             };
             weight_grads.push(self.outer_product_layer(k, &delta));
         }
@@ -1016,19 +865,18 @@ impl PhotonicMlp {
                 for k in (0..layer_count).rev() {
                     // Outer products for layer k, per sample.
                     for s in 0..bx.len() {
-                        let delta = sample_deltas[s].clone();
                         // Point the outer product at this sample's input.
                         self.cached_inputs = sample_inputs[s].clone();
-                        let g = self.outer_product_layer(k, &delta);
+                        let g = self.outer_product_layer(k, &sample_deltas[s]);
                         for (acc, v) in grads[k].iter_mut().zip(&g) {
                             *acc += v / bx.len() as f64;
                         }
                     }
                     if k > 0 {
-                        self.program_layer_transposed(k);
+                        self.layers[k].program_transposed(&self.weights[k]);
                         for s in 0..bx.len() {
-                            let delta = sample_deltas[s].clone();
-                            let v = self.transposed_mvm(k, &delta);
+                            let mut v = Vec::new();
+                            self.layers[k].mvm_signed_transposed(&sample_deltas[s], &mut v, None);
                             // Hadamard with the spilled f'(h_{k-1}) bits.
                             let h = &sample_logits[s][k - 1];
                             let next: Vec<f64> = v
@@ -1044,7 +892,7 @@ impl PhotonicMlp {
                                 .collect();
                             sample_deltas[s] = next;
                         }
-                        self.program_layer_forward(k)?;
+                        self.program_layer(k)?;
                     }
                 }
                 self.apply_weight_grads(&grads, learning_rate)?;
@@ -1061,35 +909,6 @@ impl PhotonicMlp {
         })
     }
 
-    /// Signed MVM through layer `k`'s banks assuming they currently hold
-    /// `W_kᵀ` (batched backward helper).
-    fn transposed_mvm(&mut self, k: usize, delta: &[f64]) -> Vec<f64> {
-        let (out, inp) = self.layer_dims(k);
-        assert_eq!(delta.len(), out);
-        let rt = inp.div_ceil(self.bank_rows);
-        let ct = out.div_ceil(self.bank_cols);
-        let mut v = vec![0.0; inp];
-        for r in 0..rt {
-            for c in 0..ct {
-                let mut slice = vec![0.0; self.bank_cols];
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < out {
-                        slice[j] = delta[src];
-                    }
-                }
-                let partial = self.pes[k][r * ct + c].mvm_signed(&slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < inp {
-                        v[row] += p;
-                    }
-                }
-            }
-        }
-        v
-    }
-
     /// Eq. 1: `W ← W − β δW`, clipped to the photonic range, quantized to
     /// the tuning grid, and programmed back into the forward banks.
     fn apply_weight_grads(
@@ -1098,35 +917,10 @@ impl PhotonicMlp {
         learning_rate: f64,
     ) -> Result<(), ArchError> {
         for k in 0..self.layer_count() {
-            let grads = &weight_grads[k];
-            for (w, &g) in self.weights[k].iter_mut().zip(grads) {
-                *w = (*w - learning_rate * g).clamp(-1.0, 1.0);
-            }
-            let quantized: Vec<f64> =
-                self.weights[k].iter().map(|&w| self.quantize(w)).collect();
-            self.weights[k] = quantized;
-            self.program_layer_forward(k)?;
+            descend(&mut self.weights[k], &weight_grads[k], learning_rate, self.weight_bits);
+            self.program_layer(k)?;
         }
         Ok(())
-    }
-
-    /// Multiply a per-row vector by `f'(h_k)` stored in layer `k`'s LDSUs
-    /// (the TIA-gain Hadamard of Eq. 3).
-    fn hadamard_with_latched_derivatives(&mut self, k: usize, v: &[f64]) -> Vec<f64> {
-        let (out, _) = self.layer_dims(k);
-        assert_eq!(v.len(), out, "vector width mismatch for layer {k}");
-        let (_, ct) = self.tile_grid(k);
-        let mut result = vec![0.0; out];
-        for r in 0..out.div_ceil(self.bank_rows) {
-            let lo = r * self.bank_rows;
-            let hi = (lo + self.bank_rows).min(out);
-            let pe = &mut self.pes[k][r * ct];
-            pe.set_backward_gains();
-            let gained = pe.apply_tia_gains(&v[lo..hi]);
-            result[lo..hi].copy_from_slice(&gained);
-            pe.set_forward_gains();
-        }
-        result
     }
 
     /// Table II gradient-vector mode for layer `k`: program `W_kᵀ`, run a
@@ -1140,43 +934,18 @@ impl PhotonicMlp {
             obs::SpanGuard::disabled()
         };
         let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-        let (out, inp) = self.layer_dims(k);
-        assert_eq!(delta.len(), out);
-        self.program_layer_transposed(k);
-        let rt = inp.div_ceil(self.bank_rows);
-        let ct = out.div_ceil(self.bank_cols);
-        let mut v = vec![0.0; inp];
-        for r in 0..rt {
-            for c in 0..ct {
-                let mut slice = vec![0.0; self.bank_cols];
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < out {
-                        slice[j] = delta[src];
-                    }
-                }
-                let partial = self.pes[k][r * ct + c].mvm_signed(&slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < inp {
-                        v[row] += p;
-                        if c > 0 {
-                            self.extra_energy.charge("psum accumulate", EnergyPj(0.1));
-                        }
-                    }
-                }
-            }
-        }
+        assert_eq!(delta.len(), self.layers[k].out_dim());
+        self.layers[k].program_transposed(&self.weights[k]);
+        let mut v = Vec::new();
+        self.layers[k].mvm_signed_transposed(delta, &mut v, Some(&mut self.extra_energy));
         // Restore the forward weights for the next forward pass.
-        self.program_layer_forward(k)?;
+        self.program_layer(k)?;
         if trace {
             let dt = self.total_elapsed() - sim_start;
             obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
         }
         // Hadamard with f'(h_{k-1}) from the previous layer's LDSUs.
-        let (prev_out, _) = self.layer_dims(k - 1);
-        assert_eq!(prev_out, inp);
-        Ok(self.hadamard_with_latched_derivatives(k - 1, &v))
+        Ok(self.layers[k - 1].hadamard(&v))
     }
 
     /// Table II outer-product mode for layer `k`: `δW = δh ⊗ y_{k-1}`,
@@ -1189,29 +958,8 @@ impl PhotonicMlp {
             obs::SpanGuard::disabled()
         };
         let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-        let (out, inp) = self.layer_dims(k);
-        assert_eq!(delta.len(), out);
-        let y = self.cached_inputs[k].clone();
-        // y enters the bank as weights; normalize into [-1, 1].
-        let y_scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        let (rt_n, ct_n) = self.tile_grid(k);
-        let mut grad = vec![0.0; out * inp];
-        for r in 0..rt_n {
-            let dh_lo = r * self.bank_rows;
-            let dh_hi = (dh_lo + self.bank_rows).min(out);
-            let dh_slice = &delta[dh_lo..dh_hi];
-            for c in 0..ct_n {
-                let y_lo = c * self.bank_cols;
-                let y_hi = (y_lo + self.bank_cols).min(inp);
-                let y_slice: Vec<f64> = y[y_lo..y_hi].iter().map(|&v| v / y_scale).collect();
-                let products = self.pes[k][r * ct_n + c].outer_product(dh_slice, &y_slice);
-                for (i, row) in products.iter().enumerate() {
-                    for (j, &p) in row.iter().enumerate() {
-                        grad[(dh_lo + i) * inp + (y_lo + j)] = p * y_scale;
-                    }
-                }
-            }
-        }
+        assert_eq!(delta.len(), self.layers[k].out_dim());
+        let grad = self.layers[k].outer_product(delta, &self.cached_inputs[k]);
         if trace {
             let dt = self.total_elapsed() - sim_start;
             obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
@@ -1265,29 +1013,24 @@ impl PhotonicMlp {
 
     /// Aggregate energy across all PEs and engine-level charges.
     pub fn total_energy(&self) -> EnergyPj {
-        let pe_energy: EnergyPj =
-            self.pes.iter().flatten().map(|pe| pe.energy().total()).sum();
-        pe_energy + self.extra_energy.total()
+        tiled::total_energy(&self.layers) + self.extra_energy.total()
     }
 
     /// GST programming energy alone.
     pub fn programming_energy(&self) -> EnergyPj {
-        self.pes.iter().flatten().map(|pe| pe.energy().get("gst write")).sum()
+        tiled::programming_energy(&self.layers)
     }
 
     /// Full merged energy ledger.
     pub fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = self.extra_energy.clone();
-        for pe in self.pes.iter().flatten() {
-            ledger.absorb(pe.energy());
-        }
+        tiled::absorb(&self.layers, &mut ledger);
         ledger
     }
 
     /// Simulated time across PEs (sequential-tile upper bound).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.pes.iter().flatten().map(ProcessingElement::elapsed).sum::<Nanoseconds>()
-            + self.elapsed
+        tiled::total_elapsed(&self.layers) + self.elapsed
     }
 
     /// The activation function the hardware applies between layers.
@@ -1326,7 +1069,7 @@ impl PhotonicMlp {
 }
 
 /// Softmax cross-entropy loss and gradient for one sample (f64).
-fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
+pub(crate) fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
     assert!(label < logits.len(), "label out of range");
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
@@ -1345,37 +1088,12 @@ fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
 mod tests {
     use super::*;
 
-    fn reference_forward(engine: &PhotonicMlp, x: &[f64]) -> Vec<f64> {
-        // Float-math mirror of the photonic forward pass.
-        let mut y: Vec<f64> = x.to_vec();
-        let (threshold, slope) = engine.activation();
-        for k in 0..engine.layer_count() {
-            let (out, inp) = engine.layer_dims(k);
-            let w = engine.layer_weights(k);
-            let mut h = vec![0.0; out];
-            for i in 0..out {
-                for j in 0..inp {
-                    h[i] += w[i * inp + j] * y[j];
-                }
-            }
-            if k + 1 == engine.layer_count() {
-                y = h;
-            } else {
-                y = h
-                    .iter()
-                    .map(|&v| if v >= threshold { slope * (v - threshold) } else { 0.0 })
-                    .collect();
-            }
-        }
-        y
-    }
-
     #[test]
     fn photonic_forward_matches_float_reference() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 16, 16, 42, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 6, 3], 42, None, 8);
         let x: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
         let photonic = engine.forward(&x);
-        let reference = reference_forward(&engine, &x);
+        let reference = engine.digital_forward(&x);
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
                 (p - f).abs() < 0.05,
@@ -1388,11 +1106,11 @@ mod tests {
     fn tiled_layer_matches_reference() {
         // 40 inputs forces column tiling (3 tiles of 16). Seed pinned
         // against the vendored RNG stream with 2× margin on the bound.
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, None, 8);
+        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
         assert!(engine.pe_count() > 3 * 2, "tiling must allocate PEs");
         let x: Vec<f64> = (0..40).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
         let photonic = engine.forward(&x);
-        let reference = reference_forward(&engine, &x);
+        let reference = engine.digital_forward(&x);
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
                 (p - f).abs() < 0.1,
@@ -1403,7 +1121,7 @@ mod tests {
 
     #[test]
     fn gradient_vector_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[6, 5, 3], 16, 16, 3, None, 8);
+        let mut engine = PhotonicMlp::new(&[6, 5, 3], 3, None, 8);
         let x = [0.2, 0.9, 0.4, 0.1, 0.7, 0.5];
         engine.forward(&x);
         let delta = vec![0.3, -0.7, 0.2];
@@ -1430,7 +1148,7 @@ mod tests {
 
     #[test]
     fn outer_product_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[5, 4, 2], 16, 16, 5, None, 8);
+        let mut engine = PhotonicMlp::new(&[5, 4, 2], 5, None, 8);
         let x = [0.8, 0.1, 0.6, 0.3, 0.9];
         engine.forward(&x);
         let delta = vec![0.5, -1.0];
@@ -1452,7 +1170,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_insitu() {
-        let mut engine = PhotonicMlp::new(&[8, 8, 3], 16, 16, 11, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
         // Three linearly separable prototype inputs.
         let xs: Vec<Vec<f64>> = vec![
             vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -1475,7 +1193,7 @@ mod tests {
 
     #[test]
     fn weight_updates_are_quantized_and_clipped() {
-        let mut engine = PhotonicMlp::new(&[4, 3, 2], 16, 16, 2, None, 6);
+        let mut engine = PhotonicMlp::new(&[4, 3, 2], 2, None, 6);
         let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
         let labels = vec![0];
         engine.train(&xs, &labels, 10.0, 3); // huge lr to force clipping
@@ -1494,7 +1212,7 @@ mod tests {
 
     #[test]
     fn set_layer_weights_round_trips() {
-        let mut engine = PhotonicMlp::new(&[3, 2, 2], 16, 16, 1, None, 8);
+        let mut engine = PhotonicMlp::new(&[3, 2, 2], 1, None, 8);
         let w = vec![0.5, -0.5, 0.25, -0.25, 0.75, -0.75];
         engine.set_layer_weights(0, &w);
         for (got, want) in engine.layer_weights(0).iter().zip(&w) {
@@ -1512,10 +1230,10 @@ mod tests {
         ];
         let labels = vec![0usize, 1, 2, 0];
 
-        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 16, 16, 11, None, 8);
+        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
         let per_sample_outcome = per_sample.train(&xs, &labels, 0.4, 12);
 
-        let mut batched = PhotonicMlp::new(&[8, 8, 3], 16, 16, 11, None, 8);
+        let mut batched = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
         let batched_outcome = batched.train_batched(&xs, &labels, 0.4, 12, 4);
 
         assert!(
@@ -1536,7 +1254,7 @@ mod tests {
 
     #[test]
     fn energy_grows_with_work() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 16, 16, 9, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 6, 3], 9, None, 8);
         let after_init = engine.total_energy();
         let x: Vec<f64> = vec![0.5; 8];
         engine.forward(&x);
@@ -1559,9 +1277,9 @@ mod tests {
         // call visible: the batched layer-major sweep must hand each PE
         // the exact per-sample call sequence the per-sample loop does.
         let xs = batch_inputs(4, 40);
-        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, Some(7), 8);
+        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
         let expected: Vec<Vec<f64>> = xs.iter().map(|x| sequential.forward(x)).collect();
-        let mut batched = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, Some(7), 8);
+        let mut batched = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
         let got = batched.try_forward_batch(&xs, true).unwrap();
         assert_eq!(got.len(), expected.len());
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -1595,7 +1313,7 @@ mod tests {
 
     #[test]
     fn warm_engine_forwards_without_heap_allocs() {
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, None, 8);
+        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
         let xs = batch_inputs(8, 40);
         engine.reserve_forward_scratch(xs.len());
         // First batch may still grow cold corners (e.g. an output buffer

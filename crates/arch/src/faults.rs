@@ -291,12 +291,12 @@ mod tests {
     #[test]
     fn plans_are_deterministic_in_their_seed() {
         let plan = FaultPlan::stuck_cells(0.05, 42);
-        let mut a = PhotonicMlp::new(&[16, 8, 4], 16, 16, 1, None, 8);
-        let mut b = PhotonicMlp::new(&[16, 8, 4], 16, 16, 1, None, 8);
+        let mut a = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
+        let mut b = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
         let ra = a.inject_faults(&plan);
         let rb = b.inject_faults(&plan);
         assert_eq!(ra, rb, "same plan + seed must inject identical faults");
-        let mut c = PhotonicMlp::new(&[16, 8, 4], 16, 16, 1, None, 8);
+        let mut c = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
         let rc = c.inject_faults(&FaultPlan { seed: 43, ..plan });
         assert_ne!(
             (ra.stuck_amorphous, ra.stuck_crystalline),

@@ -11,6 +11,8 @@
 //! * [`pe`] — one processing element: bank + balanced photodetectors +
 //!   TIAs + LDSUs + GST activation cells, operable in the three Table II
 //!   modes (inference, gradient vector, weight-update outer product).
+//! * `tiled` (crate-internal) — one weight matrix on a row-major grid of
+//!   16×16 PEs: the single matrix-to-bank tiling every engine below uses.
 //! * [`engine`] — a multi-PE engine that runs whole dense networks
 //!   photonically, for inference and full in-situ backpropagation, with
 //!   energy/time ledgers.
@@ -55,6 +57,7 @@ pub mod pe;
 pub mod perf;
 pub mod pipeline;
 pub mod power;
+pub(crate) mod tiled;
 pub mod training;
 pub mod transformer;
 pub mod variation;

@@ -2,12 +2,13 @@
 //!
 //! [`PhotonicTransformer`] runs pre-norm transformer encoder/decoder
 //! blocks with every GEMM lowered onto tiled PCM-MRR weight banks
-//! ([`ProcessingElement`] grids), the way [`crate::engine::PhotonicMlp`]
+//! (processing-element grids), the way [`crate::engine::PhotonicMlp`]
 //! lowers dense layers:
 //!
 //! * **Static MVMs** — QKV projections, the attention output projection,
 //!   the two FFN GEMMs and the classifier/vocabulary head are programmed
-//!   once at construction and streamed per token (weight-stationary).
+//!   once at construction and streamed per token (weight-stationary), each
+//!   on its own [`crate::tiled`] grid.
 //! * **Dynamic MVMs** — the attention core runs *in memory*: each
 //!   token's key row and value column are programmed into per-head PCM
 //!   banks at decode time, after which the score MVM (`K·q`) and the
@@ -32,8 +33,10 @@
 //! outputs within the bank's ENOB, exactly as `tests/photonic_vs_float.rs`
 //! does for the MLP engine.
 
+use crate::engine::GST_SLOPE;
 use crate::error::ArchError;
-use crate::pe::{ProcessingElement, LOGIT_THRESHOLD};
+use crate::pe::LOGIT_THRESHOLD;
+use crate::tiled::{self, TileSeed, TiledMatrix, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
@@ -41,20 +44,11 @@ use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 
-/// Square PCM-MRR tile size, matching the engine's default bank.
-const TILE: usize = 16;
-
-/// GST activation slope above threshold (engine parity, Fig. 3).
-const GST_SLOPE: f64 = 0.34;
-
 /// LayerNorm variance floor.
 const LN_EPS: f64 = 1e-5;
 
 /// Digital LDSU throughput: one element per 1.37 GHz cycle.
 const DIGITAL_NS_PER_ELEM: f64 = 1.0 / 1.37;
-
-/// Digital psum accumulate charge per output element (engine parity).
-const PSUM_PJ: f64 = 0.1;
 
 /// LDSU softmax cost per element (exp + normalise, lookup-assisted).
 const LDSU_SOFTMAX_PJ_PER_ELEM: f64 = 0.05;
@@ -149,185 +143,52 @@ impl TransformerConfig {
     }
 }
 
-/// A weight matrix tiled over a grid of 16×16 PCM-MRR banks, plus the
-/// logical (scaled) copy the tiles are programmed from.
+/// A static weight matrix: the raw copy the digital twins read, and its
+/// banks, programmed with the copy normalised by `scale = max |w|` so
+/// they see the full LUT range.
 #[derive(Debug)]
-struct TileGrid {
-    out_dim: usize,
-    in_dim: usize,
-    row_tiles: usize,
-    col_tiles: usize,
-    /// Global magnitude restored after detection (static grids); 1.0 for
-    /// KV grids, whose scales live per row/column with the cache.
+struct Projection {
+    raw: Vec<f64>,
+    banks: TiledMatrix,
     scale: f64,
-    /// Scaled logical matrix (`out_dim × in_dim`, row-major, `|w| ≤ 1`)
-    /// the banks mirror.
-    logical: Vec<f64>,
-    /// Row-major `row_tiles × col_tiles` processing elements.
-    pes: Vec<ProcessingElement>,
 }
 
-impl TileGrid {
-    fn new(out_dim: usize, in_dim: usize, stat: &Option<StatParams>, identity: &mut u64) -> Self {
-        let row_tiles = out_dim.div_ceil(TILE);
-        let col_tiles = in_dim.div_ceil(TILE);
-        let mut pes = Vec::with_capacity(row_tiles * col_tiles);
-        for _ in 0..row_tiles * col_tiles {
-            let mut pe = ProcessingElement::new(TILE, TILE, None);
-            if let Some(params) = stat {
-                pe.bank_mut().enable_stat(*params, *identity);
-            }
-            *identity = identity.wrapping_add(1);
-            pes.push(pe);
-        }
-        Self {
-            out_dim,
-            in_dim,
-            row_tiles,
-            col_tiles,
-            scale: 1.0,
-            logical: vec![0.0; out_dim * in_dim],
-            pes,
-        }
+impl Projection {
+    /// Allocate the `out_dim × in_dim` grid (PEs seeded by `seed`),
+    /// normalise `raw` and program every tile.
+    fn deploy(
+        raw: Vec<f64>,
+        out_dim: usize,
+        in_dim: usize,
+        seed: impl FnMut(usize) -> TileSeed,
+    ) -> Self {
+        let mut banks = TiledMatrix::new(out_dim, in_dim, seed);
+        let scale = raw.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
+        let logical: Vec<f64> = raw.iter().map(|&w| (w / scale).clamp(-1.0, 1.0)).collect();
+        banks.program(&logical);
+        Self { raw, banks, scale }
     }
 
-    /// Install a raw weight matrix: normalise by its max magnitude so the
-    /// banks see the full LUT range, program every tile, remember the
-    /// restore scale.
-    fn deploy(&mut self, raw: &[f64]) {
-        let max = raw.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
-        for (dst, &w) in self.logical.iter_mut().zip(raw) {
-            *dst = (w / max).clamp(-1.0, 1.0);
-        }
-        self.scale = max;
-        for rt in 0..self.row_tiles {
-            self.program_row_band(rt);
-        }
-    }
-
-    /// One zero-padded 16×16 tile of the logical matrix, staged on the
-    /// stack — band reprogramming runs per decode step, so this helper
-    /// must not touch the heap.
-    fn tile(&self, rt: usize, ct: usize) -> [f64; TILE * TILE] {
-        let mut tile = [0.0; TILE * TILE];
-        for r in 0..TILE {
-            let i = rt * TILE + r;
-            if i >= self.out_dim {
-                break;
-            }
-            for c in 0..TILE {
-                let j = ct * TILE + c;
-                if j >= self.in_dim {
-                    break;
-                }
-                tile[r * TILE + c] = self.logical[i * self.in_dim + j];
-            }
-        }
-        tile
-    }
-
-    /// (Re)program every tile covering logical rows
-    /// `[rt·16, (rt+1)·16)`. Unchanged cells are write no-ops, so
-    /// re-banding an already-cached row costs nothing — history-free
-    /// programming is what makes incremental decode bitwise-equal to a
-    /// fresh recompute. Returns the programming energy actually spent.
-    fn program_row_band(&mut self, rt: usize) -> EnergyPj {
-        let mut spent = EnergyPj::ZERO;
-        for ct in 0..self.col_tiles {
-            let tile = self.tile(rt, ct);
-            let pe = &mut self.pes[rt * self.col_tiles + ct];
-            let before = pe.energy().get("gst write");
-            pe.program(&tile);
-            spent += pe.energy().get("gst write") - before;
-        }
-        spent
-    }
-
-    /// (Re)program every tile covering logical columns
-    /// `[ct·16, (ct+1)·16)` — the V-bank append direction.
-    fn program_col_band(&mut self, ct: usize) -> EnergyPj {
-        let mut spent = EnergyPj::ZERO;
-        for rt in 0..self.row_tiles {
-            let tile = self.tile(rt, ct);
-            let pe = &mut self.pes[rt * self.col_tiles + ct];
-            let before = pe.energy().get("gst write");
-            pe.program(&tile);
-            spent += pe.energy().get("gst write") - before;
-        }
-        spent
-    }
-
-    /// Signed MVM of the full grid: per column-tile input slices stream
-    /// through each row tile, partial sums accumulate digitally
-    /// (k-ascending, column tiles in order), and the global scale is
-    /// restored last. Output length `out_dim`.
+    /// Signed MVM with partial sums billed to `extra`; the global scale
+    /// is restored after accumulation.
     fn mvm(&mut self, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
-        y.clear();
-        y.resize(self.out_dim, 0.0);
-        let mut x_tile = [0.0f64; TILE];
-        for ct in 0..self.col_tiles {
-            x_tile.fill(0.0);
-            for c in 0..TILE {
-                let j = ct * TILE + c;
-                if j < x.len() && j < self.in_dim {
-                    x_tile[c] = x[j];
-                }
-            }
-            for rt in 0..self.row_tiles {
-                let part = self.pes[rt * self.col_tiles + ct].mvm_signed(&x_tile);
-                for (r, &p) in part.iter().enumerate() {
-                    let i = rt * TILE + r;
-                    if i < self.out_dim {
-                        y[i] += p;
-                        if ct > 0 {
-                            extra.charge("psum accumulate", EnergyPj(PSUM_PJ));
-                        }
-                    }
-                }
-            }
-        }
-        if self.scale.to_bits() != 1.0f64.to_bits() {
-            for v in y.iter_mut() {
-                *v *= self.scale;
-            }
-        }
-    }
-
-    /// Latch the LDSUs of row band `rt` and fire its GST activation
-    /// cells (the FFN nonlinearity, photonic like the engine's hidden
-    /// layers). `h` is the band's logit slice (≤ 16 entries).
-    fn activate_band(&mut self, rt: usize, h: &[f64]) -> Vec<f64> {
-        self.pes[rt * self.col_tiles].latch_and_activate(h)
-    }
-
-    fn total_energy(&self) -> EnergyPj {
-        self.pes.iter().map(|pe| pe.energy().total()).sum()
-    }
-
-    fn total_elapsed(&self) -> Nanoseconds {
-        self.pes.iter().map(ProcessingElement::elapsed).sum()
-    }
-
-    fn absorb_into(&self, ledger: &mut EnergyLedger) {
-        for pe in &self.pes {
-            ledger.absorb(pe.energy());
-        }
-    }
-
-    fn calibrate(&mut self) {
-        for pe in &mut self.pes {
-            pe.bank_mut().calibrate_compensation();
+        self.banks.mvm_signed(x, y, Some(extra));
+        for v in y.iter_mut() {
+            *v *= self.scale;
         }
     }
 }
 
 /// Per-head KV banks: K rows (`max_seq × d_head`) and Vᵀ columns
-/// (`d_head × max_seq`), each with the write-time scale that restores
-/// row/column magnitudes after detection.
+/// (`d_head × max_seq`). The logical copies hold each row/column
+/// normalised at write time; the scales restore its magnitude after
+/// detection.
 #[derive(Debug)]
 struct HeadKv {
-    k: TileGrid,
-    v: TileGrid,
+    k: TiledMatrix,
+    v: TiledMatrix,
+    k_logical: Vec<f64>,
+    v_logical: Vec<f64>,
     k_scale: Vec<f64>,
     v_scale: Vec<f64>,
 }
@@ -335,18 +196,12 @@ struct HeadKv {
 /// One pre-norm transformer block's device state.
 #[derive(Debug)]
 struct Block {
-    wq: TileGrid,
-    wk: TileGrid,
-    wv: TileGrid,
-    wo: TileGrid,
-    w1: TileGrid,
-    w2: TileGrid,
-    raw_wq: Vec<f64>,
-    raw_wk: Vec<f64>,
-    raw_wv: Vec<f64>,
-    raw_wo: Vec<f64>,
-    raw_w1: Vec<f64>,
-    raw_w2: Vec<f64>,
+    wq: Projection,
+    wk: Projection,
+    wv: Projection,
+    wo: Projection,
+    w1: Projection,
+    w2: Projection,
     ln1_gamma: Vec<f64>,
     ln1_beta: Vec<f64>,
     ln2_gamma: Vec<f64>,
@@ -359,8 +214,7 @@ struct Block {
 pub struct PhotonicTransformer {
     cfg: TransformerConfig,
     blocks: Vec<Block>,
-    head: TileGrid,
-    raw_head: Vec<f64>,
+    head: Projection,
     lnf_gamma: Vec<f64>,
     lnf_beta: Vec<f64>,
     /// Cached tokens (decode mode) / tokens of the current sequence.
@@ -427,6 +281,17 @@ fn softmax64(row: &mut [f64]) {
     }
 }
 
+/// Which LayerNorm's affine parameters an LDSU LayerNorm applies.
+#[derive(Debug, Clone, Copy)]
+enum Ln {
+    /// Block `b`'s pre-attention norm.
+    Attention(usize),
+    /// Block `b`'s pre-FFN norm.
+    Ffn(usize),
+    /// The final norm before the head.
+    Final,
+}
+
 /// Row LayerNorm (f64): population mean/variance, affine gamma/beta.
 fn layer_norm64(x: &[f64], gamma: &[f64], beta: &[f64], out: &mut Vec<f64>) {
     out.clear();
@@ -469,30 +334,31 @@ impl PhotonicTransformer {
         let d = cfg.d_model;
         let d_head = d / cfg.heads;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        // Every PE takes the next bank identity, in construction order.
         let mut identity = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let stat = cfg.stat;
+        let mut seed = |_| {
+            let id = identity;
+            identity = identity.wrapping_add(1);
+            TileSeed { stat: stat.map(|params| (params, id)), ..TileSeed::default() }
+        };
         let mut blocks = Vec::with_capacity(cfg.depth);
         for _ in 0..cfg.depth {
-            let raw_wq = init_matrix(&mut rng, d, d);
-            let raw_wk = init_matrix(&mut rng, d, d);
-            let raw_wv = init_matrix(&mut rng, d, d);
-            let raw_wo = init_matrix(&mut rng, d, d);
-            let raw_w1 = init_matrix(&mut rng, cfg.d_ff, d);
-            let raw_w2 = init_matrix(&mut rng, d, cfg.d_ff);
-            let mut mk = |out_dim, in_dim, raw: &[f64]| {
-                let mut g = TileGrid::new(out_dim, in_dim, &cfg.stat, &mut identity);
-                g.deploy(raw);
-                g
+            let mut deploy = |out_dim, in_dim| {
+                Projection::deploy(init_matrix(&mut rng, out_dim, in_dim), out_dim, in_dim, &mut seed)
             };
-            let wq = mk(d, d, &raw_wq);
-            let wk = mk(d, d, &raw_wk);
-            let wv = mk(d, d, &raw_wv);
-            let wo = mk(d, d, &raw_wo);
-            let w1 = mk(cfg.d_ff, d, &raw_w1);
-            let w2 = mk(d, cfg.d_ff, &raw_w2);
+            let wq = deploy(d, d);
+            let wk = deploy(d, d);
+            let wv = deploy(d, d);
+            let wo = deploy(d, d);
+            let w1 = deploy(cfg.d_ff, d);
+            let w2 = deploy(d, cfg.d_ff);
             let kv = (0..cfg.heads)
                 .map(|_| HeadKv {
-                    k: TileGrid::new(cfg.max_seq, d_head, &cfg.stat, &mut identity),
-                    v: TileGrid::new(d_head, cfg.max_seq, &cfg.stat, &mut identity),
+                    k: TiledMatrix::new(cfg.max_seq, d_head, &mut seed),
+                    v: TiledMatrix::new(d_head, cfg.max_seq, &mut seed),
+                    k_logical: vec![0.0; cfg.max_seq * d_head],
+                    v_logical: vec![0.0; d_head * cfg.max_seq],
                     k_scale: vec![1.0; cfg.max_seq],
                     v_scale: vec![1.0; cfg.max_seq],
                 })
@@ -504,12 +370,6 @@ impl PhotonicTransformer {
                 wo,
                 w1,
                 w2,
-                raw_wq,
-                raw_wk,
-                raw_wv,
-                raw_wo,
-                raw_w1,
-                raw_w2,
                 ln1_gamma: vec![1.0; d],
                 ln1_beta: vec![0.0; d],
                 ln2_gamma: vec![1.0; d],
@@ -517,14 +377,11 @@ impl PhotonicTransformer {
                 kv,
             });
         }
-        let raw_head = init_matrix(&mut rng, cfg.out_dim, d);
-        let mut head = TileGrid::new(cfg.out_dim, d, &cfg.stat, &mut identity);
-        head.deploy(&raw_head);
+        let head = Projection::deploy(init_matrix(&mut rng, cfg.out_dim, d), cfg.out_dim, d, seed);
         Ok(Self {
             cfg,
             blocks,
             head,
-            raw_head,
             lnf_gamma: vec![1.0; d],
             lnf_beta: vec![0.0; d],
             cache_len: 0,
@@ -559,16 +416,13 @@ impl PhotonicTransformer {
 
     /// Run one drift-compensation calibration pass over every bank.
     pub fn calibrate_compensation(&mut self) {
-        for b in &mut self.blocks {
-            for g in [&mut b.wq, &mut b.wk, &mut b.wv, &mut b.wo, &mut b.w1, &mut b.w2] {
-                g.calibrate();
-            }
-            for h in &mut b.kv {
-                h.k.calibrate();
-                h.v.calibrate();
-            }
-        }
-        self.head.calibrate();
+        let blocks = self.blocks.iter_mut().flat_map(|b| {
+            [&mut b.wq, &mut b.wk, &mut b.wv, &mut b.wo, &mut b.w1, &mut b.w2]
+                .map(|p| &mut p.banks)
+                .into_iter()
+                .chain(b.kv.iter_mut().flat_map(|h| [&mut h.k, &mut h.v]))
+        });
+        tiled::calibrate(blocks.chain(std::iter::once(&mut self.head.banks)));
     }
 
     /// Forget the cached sequence. Bank contents are overwritten on the
@@ -585,33 +439,35 @@ impl PhotonicTransformer {
 
     /// Total optical + digital energy since construction.
     pub fn total_energy(&self) -> EnergyPj {
-        self.grids().map(TileGrid::total_energy).sum::<EnergyPj>() + self.extra_energy.total()
+        self.grids().map(|g| tiled::total_energy([g])).sum::<EnergyPj>()
+            + self.extra_energy.total()
     }
 
     /// Total simulated time (sequential-tile upper bound) since
     /// construction.
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.grids().map(TileGrid::total_elapsed).sum::<Nanoseconds>() + self.elapsed
+        self.grids().map(|g| tiled::total_elapsed([g])).sum::<Nanoseconds>() + self.elapsed
     }
 
     /// Itemised energy ledger across every PE plus the digital side.
     pub fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = self.extra_energy.clone();
-        for g in self.grids() {
-            g.absorb_into(&mut ledger);
-        }
+        tiled::absorb(self.grids(), &mut ledger);
         ledger
     }
 
-    fn grids(&self) -> impl Iterator<Item = &TileGrid> {
+    /// Every bank grid, block by block (projections, then KV heads),
+    /// then the head.
+    fn grids(&self) -> impl Iterator<Item = &TiledMatrix> {
         self.blocks
             .iter()
             .flat_map(|b| {
                 [&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2]
+                    .map(|p| &p.banks)
                     .into_iter()
                     .chain(b.kv.iter().flat_map(|h| [&h.k, &h.v]))
             })
-            .chain(std::iter::once(&self.head))
+            .chain(std::iter::once(&self.head.banks))
     }
 
     fn charge_digital(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
@@ -627,14 +483,15 @@ impl PhotonicTransformer {
         obs::add(obs::Counter::LdsuSoftmaxRows, 1);
     }
 
-    /// LDSU LayerNorm of `x` into `out`, billed per element.
-    fn ldsu_layer_norm(
-        &mut self,
-        x: &[f64],
-        gamma_beta: (&[f64], &[f64]),
-        out: &mut Vec<f64>,
-    ) {
-        layer_norm64(x, gamma_beta.0, gamma_beta.1, out);
+    /// LDSU LayerNorm of `x` into `out` with the affine parameters `ln`
+    /// selects, billed per element.
+    fn ldsu_layer_norm(&mut self, ln: Ln, x: &[f64], out: &mut Vec<f64>) {
+        let (gamma, beta) = match ln {
+            Ln::Attention(b) => (&self.blocks[b].ln1_gamma, &self.blocks[b].ln1_beta),
+            Ln::Ffn(b) => (&self.blocks[b].ln2_gamma, &self.blocks[b].ln2_beta),
+            Ln::Final => (&self.lnf_gamma, &self.lnf_beta),
+        };
+        layer_norm64(x, gamma, beta, out);
         self.charge_digital("ldsu layernorm", x.len(), LDSU_LAYERNORM_PJ_PER_ELEM);
         obs::add(obs::Counter::LdsuLayerNormRows, 1);
     }
@@ -661,13 +518,13 @@ impl PhotonicTransformer {
             kv.k_scale[t] = k_max;
             kv.v_scale[t] = v_max;
             for (j, &v) in ks.iter().enumerate() {
-                kv.k.logical[t * d_head + j] = (v / k_max).clamp(-1.0, 1.0);
+                kv.k_logical[t * d_head + j] = (v / k_max).clamp(-1.0, 1.0);
             }
             for (r, &v) in vs.iter().enumerate() {
-                kv.v.logical[r * self.cfg.max_seq + t] = (v / v_max).clamp(-1.0, 1.0);
+                kv.v_logical[r * self.cfg.max_seq + t] = (v / v_max).clamp(-1.0, 1.0);
             }
-            spent += kv.k.program_row_band(t / TILE);
-            spent += kv.v.program_col_band(t / TILE);
+            spent += kv.k.program_row_band(&kv.k_logical, t / TILE);
+            spent += kv.v.program_col_band(&kv.v_logical, t / TILE);
         }
         if causal {
             let elems = 2 * self.cfg.d_model as u64;
@@ -700,7 +557,7 @@ impl PhotonicTransformer {
             // Score MVM: every cached K row dotted with q in one pass.
             {
                 let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-                blocks[b].kv[h].k.mvm(q_h, scores, extra);
+                blocks[b].kv[h].k.mvm_signed(q_h, scores, Some(extra));
             }
             let k_scale = &self.blocks[b].kv[h].k_scale;
             for (j, s) in scores.iter_mut().enumerate().take(limit) {
@@ -716,7 +573,7 @@ impl PhotonicTransformer {
             }
             {
                 let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-                blocks[b].kv[h].v.mvm(vin, ctx, extra);
+                blocks[b].kv[h].v.mvm_signed(vin, ctx, Some(extra));
             }
             out[h * d_head..(h + 1) * d_head].copy_from_slice(ctx);
         }
@@ -737,12 +594,7 @@ impl PhotonicTransformer {
         }
         s.act.clear();
         s.act.resize(self.cfg.d_ff, 0.0);
-        for rt in 0..self.blocks[b].w1.row_tiles {
-            let lo = rt * TILE;
-            let hi = (lo + TILE).min(self.cfg.d_ff);
-            let fired = self.blocks[b].w1.activate_band(rt, &s.h1[lo..hi]);
-            s.act[lo..hi].copy_from_slice(&fired);
-        }
+        self.blocks[b].w1.banks.activate(&s.h1, &mut s.act);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
             blocks[b].w2.mvm(&s.act, out, extra);
@@ -750,24 +602,13 @@ impl PhotonicTransformer {
         self.scratch = s;
     }
 
-    /// One token through block `b`: pre-norm attention sublayer (with KV
-    /// append at position `t`) then pre-norm FFN sublayer, both residual.
-    /// `limit` is the attention window (`t + 1` causal, sequence length
-    /// otherwise — the caller decides).
-    fn block_step(&mut self, b: usize, t: usize, limit: usize, hidden: &mut [f64]) {
+    /// Attention-sublayer front half for one token of block `b`:
+    /// LayerNorm, Q/K/V projections, and the K/V append at position `t`.
+    /// Returns the query.
+    fn project_qkv(&mut self, b: usize, t: usize, hidden: &[f64]) -> Vec<f64> {
         let mut normed = Vec::new();
-        let mut q = Vec::new();
-        let mut k = Vec::new();
-        let mut v = Vec::new();
-        let mut attn = Vec::new();
-        let mut proj = Vec::new();
-        {
-            let gamma = std::mem::take(&mut self.blocks[b].ln1_gamma);
-            let beta = std::mem::take(&mut self.blocks[b].ln1_beta);
-            self.ldsu_layer_norm(hidden, (&gamma, &beta), &mut normed);
-            self.blocks[b].ln1_gamma = gamma;
-            self.blocks[b].ln1_beta = beta;
-        }
+        let (mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
+        self.ldsu_layer_norm(Ln::Attention(b), hidden, &mut normed);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
             blocks[b].wq.mvm(&normed, &mut q, extra);
@@ -775,7 +616,16 @@ impl PhotonicTransformer {
             blocks[b].wv.mvm(&normed, &mut v, extra);
         }
         self.append_kv(b, t, &k, &v);
-        self.attention(b, &q, limit, &mut attn);
+        q
+    }
+
+    /// The rest of block `b` for one token: attention over cache rows
+    /// `0..limit`, output projection and residual, then the pre-norm FFN
+    /// sublayer and its residual.
+    fn finish_token(&mut self, b: usize, q: &[f64], limit: usize, hidden: &mut [f64]) {
+        let (mut attn, mut proj, mut normed, mut ffn_out) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        self.attention(b, q, limit, &mut attn);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
             blocks[b].wo.mvm(&attn, &mut proj, extra);
@@ -784,14 +634,7 @@ impl PhotonicTransformer {
             *hv += p;
         }
         self.ldsu_residual(self.cfg.d_model);
-        {
-            let gamma = std::mem::take(&mut self.blocks[b].ln2_gamma);
-            let beta = std::mem::take(&mut self.blocks[b].ln2_beta);
-            self.ldsu_layer_norm(hidden, (&gamma, &beta), &mut normed);
-            self.blocks[b].ln2_gamma = gamma;
-            self.blocks[b].ln2_beta = beta;
-        }
-        let mut ffn_out = Vec::new();
+        self.ldsu_layer_norm(Ln::Ffn(b), hidden, &mut normed);
         self.ffn(b, &normed, &mut ffn_out);
         for (hv, &p) in hidden.iter_mut().zip(&ffn_out) {
             *hv += p;
@@ -799,16 +642,17 @@ impl PhotonicTransformer {
         self.ldsu_residual(self.cfg.d_model);
     }
 
+    /// One token through block `b` (decoder schedule): append its K/V at
+    /// position `t`, then attend over `0..limit`.
+    fn block_step(&mut self, b: usize, t: usize, limit: usize, hidden: &mut [f64]) {
+        let q = self.project_qkv(b, t, hidden);
+        self.finish_token(b, &q, limit, hidden);
+    }
+
     /// Final LayerNorm + head MVM for one `d_model`-wide vector.
     fn head_logits(&mut self, x: &[f64]) -> Vec<f64> {
         let mut normed = Vec::new();
-        {
-            let gamma = std::mem::take(&mut self.lnf_gamma);
-            let beta = std::mem::take(&mut self.lnf_beta);
-            self.ldsu_layer_norm(x, (&gamma, &beta), &mut normed);
-            self.lnf_gamma = gamma;
-            self.lnf_beta = beta;
-        }
+        self.ldsu_layer_norm(Ln::Final, x, &mut normed);
         let mut logits = Vec::new();
         let (head, extra) = (&mut self.head, &mut self.extra_energy);
         head.mvm(&normed, &mut logits, extra);
@@ -855,7 +699,7 @@ impl PhotonicTransformer {
                 for (t, tok) in hidden.iter_mut().enumerate() {
                     self.cache_len = t;
                     // block_step appends at t and attends over 0..=t.
-                    block_step_token(self, b, t, t + 1, tok);
+                    self.block_step(b, t, t + 1, tok);
                 }
             } else {
                 encoder_block(self, b, &mut hidden, seq);
@@ -912,7 +756,7 @@ impl PhotonicTransformer {
         let t = self.cache_len;
         let mut hidden = x.to_vec();
         for b in 0..self.blocks.len() {
-            block_step_token(self, b, t, t + 1, &mut hidden);
+            self.block_step(b, t, t + 1, &mut hidden);
         }
         self.cache_len = t + 1;
         Ok(self.head_logits(&hidden))
@@ -951,9 +795,9 @@ impl PhotonicTransformer {
                 layer_norm64(tok, &block.ln1_gamma, &block.ln1_beta, &mut n);
                 normed.push(n);
             }
-            let q: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.raw_wq, d, n)).collect();
-            let k: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.raw_wk, d, n)).collect();
-            let v: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.raw_wv, d, n)).collect();
+            let q: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.wq.raw, d, n)).collect();
+            let k: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.wk.raw, d, n)).collect();
+            let v: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.wv.raw, d, n)).collect();
             for (t, tok) in hidden.iter_mut().enumerate() {
                 let limit = if self.cfg.causal { t + 1 } else { seq };
                 let mut concat = vec![0.0f64; d];
@@ -976,15 +820,15 @@ impl PhotonicTransformer {
                         }
                     }
                 }
-                let proj = matvec64(&block.raw_wo, d, &concat);
+                let proj = matvec64(&block.wo.raw, d, &concat);
                 for (hv, &p) in tok.iter_mut().zip(&proj) {
                     *hv += p;
                 }
                 let mut n2 = Vec::new();
                 layer_norm64(tok, &block.ln2_gamma, &block.ln2_beta, &mut n2);
-                let h1 = matvec64(&block.raw_w1, d, &n2);
+                let h1 = matvec64(&block.w1.raw, d, &n2);
                 let act: Vec<f64> = h1.iter().map(|&h| gst64(h)).collect();
-                let ffn_out = matvec64(&block.raw_w2, self.cfg.d_ff, &act);
+                let ffn_out = matvec64(&block.w2.raw, self.cfg.d_ff, &act);
                 for (hv, &p) in tok.iter_mut().zip(&ffn_out) {
                     *hv += p;
                 }
@@ -996,7 +840,7 @@ impl PhotonicTransformer {
     fn digital_head(&self, x: &[f64]) -> Vec<f64> {
         let mut normed = Vec::new();
         layer_norm64(x, &self.lnf_gamma, &self.lnf_beta, &mut normed);
-        matvec64(&self.raw_head, self.cfg.d_model, &normed)
+        matvec64(&self.head.raw, self.cfg.d_model, &normed)
     }
 
     /// Digital twin of [`PhotonicTransformer::try_forward_classify`].
@@ -1023,74 +867,18 @@ impl PhotonicTransformer {
     }
 }
 
-/// Free-function shim so `try_forward_hidden`'s causal loop and
-/// `try_decode_token` share the exact same code path (monomorphic call,
-/// no closure-over-`self` borrow fights).
-fn block_step_token(
-    tx: &mut PhotonicTransformer,
-    b: usize,
-    t: usize,
-    limit: usize,
-    hidden: &mut [f64],
-) {
-    tx.block_step(b, t, limit, hidden);
-}
-
 /// Encoder-attention block schedule: bank the whole sequence's K/V
 /// first, then stream every query with a full-sequence window. Token
 /// arithmetic is identical to [`PhotonicTransformer::block_step`]; only
 /// the append/attend interleaving differs (encoders have no causal
 /// frontier to respect).
 fn encoder_block(tx: &mut PhotonicTransformer, b: usize, hidden: &mut [Vec<f64>], seq: usize) {
-    let mut normed_all = Vec::with_capacity(seq);
     let mut q_all = Vec::with_capacity(seq);
-    for tok in hidden.iter() {
-        let mut normed = Vec::new();
-        {
-            let gamma = std::mem::take(&mut tx.blocks[b].ln1_gamma);
-            let beta = std::mem::take(&mut tx.blocks[b].ln1_beta);
-            tx.ldsu_layer_norm(tok, (&gamma, &beta), &mut normed);
-            tx.blocks[b].ln1_gamma = gamma;
-            tx.blocks[b].ln1_beta = beta;
-        }
-        let (mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
-        {
-            let (blocks, extra) = (&mut tx.blocks, &mut tx.extra_energy);
-            blocks[b].wq.mvm(&normed, &mut q, extra);
-            blocks[b].wk.mvm(&normed, &mut k, extra);
-            blocks[b].wv.mvm(&normed, &mut v, extra);
-        }
-        let t = normed_all.len();
-        tx.append_kv(b, t, &k, &v);
-        normed_all.push(normed);
-        q_all.push(q);
+    for (t, tok) in hidden.iter().enumerate() {
+        q_all.push(tx.project_qkv(b, t, tok));
     }
-    for (t, tok) in hidden.iter_mut().enumerate() {
-        let mut attn = Vec::new();
-        tx.attention(b, &q_all[t], seq, &mut attn);
-        let mut proj = Vec::new();
-        {
-            let (blocks, extra) = (&mut tx.blocks, &mut tx.extra_energy);
-            blocks[b].wo.mvm(&attn, &mut proj, extra);
-        }
-        for (hv, &p) in tok.iter_mut().zip(&proj) {
-            *hv += p;
-        }
-        tx.ldsu_residual(tx.cfg.d_model);
-        let mut n2 = Vec::new();
-        {
-            let gamma = std::mem::take(&mut tx.blocks[b].ln2_gamma);
-            let beta = std::mem::take(&mut tx.blocks[b].ln2_beta);
-            tx.ldsu_layer_norm(tok, (&gamma, &beta), &mut n2);
-            tx.blocks[b].ln2_gamma = gamma;
-            tx.blocks[b].ln2_beta = beta;
-        }
-        let mut ffn_out = Vec::new();
-        tx.ffn(b, &n2, &mut ffn_out);
-        for (hv, &p) in tok.iter_mut().zip(&ffn_out) {
-            *hv += p;
-        }
-        tx.ldsu_residual(tx.cfg.d_model);
+    for (tok, q) in hidden.iter_mut().zip(&q_all) {
+        tx.finish_token(b, q, seq, tok);
     }
 }
 

@@ -36,12 +36,12 @@ fn pe_modes(c: &mut Criterion) {
 
 fn engine_passes(c: &mut Criterion) {
     c.bench_function("mlp_forward_64_16_10", |b| {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 1, None, 8);
+        let mut engine = PhotonicMlp::new(&[64, 16, 10], 1, None, 8);
         let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 / 7.0).collect();
         b.iter(|| black_box(engine.forward(black_box(&x))))
     });
     c.bench_function("mlp_train_sample_64_16_10", |b| {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 1, None, 8);
+        let mut engine = PhotonicMlp::new(&[64, 16, 10], 1, None, 8);
         let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 / 7.0).collect();
         b.iter(|| black_box(engine.train_sample(black_box(&x), 3, 0.05)))
     });

@@ -53,7 +53,7 @@ pub mod bits {
             .map(|&bits| {
                 // Seed pinned against the vendored RNG stream (vendor/rand);
                 // chosen for a healthy initial draw at test-sized runs.
-                let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 16, None, bits);
+                let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, None, bits);
                 let outcome = engine.train(&xs, &data.labels, learning_rate, epochs);
                 Row {
                     bits,
@@ -280,10 +280,10 @@ pub mod dfa_vs_bp {
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
             .collect();
 
-        let mut bp = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, 8);
+        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let bp_outcome = bp.train(&xs, &data.labels, 0.1, epochs);
 
-        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, 8);
+        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
         train_dfa(&mut dfa_engine, &mut fb, &xs, &data.labels, 0.3, epochs);
         let dfa_acc = dfa_engine.accuracy(&xs, &data.labels);

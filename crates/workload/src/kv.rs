@@ -6,7 +6,7 @@
 //! cached prefix optically through the score and context MVMs (the cache
 //! "reads"). This module provides the closed-form per-token expectations
 //! the functional simulator's measured counts are pinned against
-//! (`tests/kv_cache_invariants.rs`), plus the obs billing hook the
+//! (`tests/kv_cache_obs.rs`), plus the obs billing hook the
 //! repro_all KV-dataflow section uses.
 //!
 //! Closed forms for decoding `T` tokens through `L` causal layers at

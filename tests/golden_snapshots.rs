@@ -258,6 +258,198 @@ fn transformer_kv_json() -> String {
     )
 }
 
+/// Deterministic inputs in `[0, 1]` (no RNG stream, so the snapshot
+/// depends only on the engines under test).
+fn ramp_inputs(n: usize, width: usize, salt: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|s| {
+            (0..width).map(|j| ((s * 13 + j * 7 + salt * 5) % 11) as f64 / 10.0).collect()
+        })
+        .collect()
+}
+
+/// One engine schedule's snapshot: named lines of `{:?}`-printed values.
+struct EngineSnap {
+    name: &'static str,
+    fields: Vec<(String, String)>,
+}
+
+impl EngineSnap {
+    fn new(name: &'static str) -> Self {
+        Self { name, fields: Vec::new() }
+    }
+
+    fn f64s(&mut self, key: &str, v: &[f64]) {
+        self.fields.push((key.to_string(), format!("{v:?}")));
+    }
+
+    fn value(&mut self, key: &str, v: impl std::fmt::Debug) {
+        self.fields.push((key.to_string(), format!("{v:?}")));
+    }
+
+    fn ledger(&mut self, ledger: &trident::photonics::ledger::EnergyLedger) {
+        for (item, pj) in ledger.iter() {
+            self.value(&format!("ledger.{item}"), pj.value());
+        }
+    }
+
+    /// Final weights, energy, time and ledger of an MLP engine.
+    fn mlp(&mut self, engine: &trident::arch::engine::PhotonicMlp) {
+        for (k, w) in engine.snapshot_weights().iter().enumerate() {
+            self.f64s(&format!("weights.{k}"), w);
+        }
+        self.value("total_energy", engine.total_energy().value());
+        self.value("total_elapsed", engine.total_elapsed().value());
+        self.value("programming_energy", engine.programming_energy().value());
+        self.ledger(&engine.energy_ledger());
+    }
+
+    fn render(&self) -> String {
+        let body: Vec<String> =
+            self.fields.iter().map(|(k, v)| format!("      \"{k}\": {v}")).collect();
+        format!("    \"{}\": {{\n{}\n    }}", self.name, body.join(",\n"))
+    }
+}
+
+fn engines_json() -> String {
+    use trident::arch::conv_engine::PhotonicCnn;
+    use trident::arch::dfa::{train_dfa, DfaFeedback};
+    use trident::arch::engine::{EngineOptions, PhotonicMlp};
+    use trident::arch::faults::FaultPlan;
+    use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
+    use trident::pcm::stat::StatParams;
+    use trident::photonics::units::Hours;
+
+    // 40 → 20 → 4 tiles every layer over several rows and columns, so W
+    // and Wᵀ grids differ in shape.
+    const DIMS: [usize; 3] = [40, 20, 4];
+    let xs = ramp_inputs(6, DIMS[0], 0);
+    let labels: Vec<usize> = (0..xs.len()).map(|s| s % DIMS[2]).collect();
+    let mlp = |opts: EngineOptions| PhotonicMlp::try_with_options(&DIMS, opts).unwrap();
+    let mut snaps = Vec::new();
+
+    let mut s = EngineSnap::new("mlp_train_noise");
+    let mut e = mlp(EngineOptions { seed: 23, noise_seed: Some(7), ..Default::default() });
+    let outcome = e.try_train(&xs, &labels, 0.3, 2).unwrap();
+    s.f64s("loss_history", &outcome.loss_history);
+    s.value("final_accuracy", outcome.final_accuracy);
+    s.f64s("forward", &e.try_forward(&xs[1]).unwrap());
+    s.mlp(&e);
+    snaps.push(s);
+
+    let mut s = EngineSnap::new("mlp_train_batched");
+    let mut e = mlp(EngineOptions { seed: 11, noise_seed: Some(3), ..Default::default() });
+    let outcome = e.try_train_batched(&xs, &labels, 0.3, 2, 4).unwrap();
+    s.f64s("loss_history", &outcome.loss_history);
+    s.value("final_accuracy", outcome.final_accuracy);
+    let batch: Vec<Vec<f64>> = e.try_forward_batch(&xs[..3], true).unwrap().to_vec();
+    for (i, out) in batch.iter().enumerate() {
+        s.f64s(&format!("forward_batch.{i}"), out);
+    }
+    s.mlp(&e);
+    snaps.push(s);
+
+    let mut s = EngineSnap::new("mlp_stat_variation");
+    let mut e = mlp(EngineOptions {
+        seed: 5,
+        resonance_sigma_nm: 0.02,
+        variation_seed: 9,
+        stat: Some(StatParams { seed: 31, ..Default::default() }),
+        ..Default::default()
+    });
+    let losses: Vec<f64> = xs
+        .iter()
+        .zip(&labels)
+        .take(3)
+        .map(|(x, &label)| e.try_train_sample(x, label, 0.3).unwrap())
+        .collect();
+    s.f64s("losses", &losses);
+    e.advance_deployment(Hours(240.0));
+    s.value("calibration_pj", e.calibrate_drift_compensation().value());
+    s.f64s("forward", &e.try_forward(&xs[2]).unwrap());
+    s.f64s("digital_forward", &e.digital_forward(&xs[2]));
+    s.mlp(&e);
+    snaps.push(s);
+
+    let mut s = EngineSnap::new("mlp_faults_verified");
+    let mut e = mlp(EngineOptions { seed: 17, ..Default::default() });
+    let plan = FaultPlan { dead_rings: 0.01, ..FaultPlan::stuck_cells(0.03, 4) };
+    let report = e.inject_faults(&plan);
+    s.value("stuck_cells", report.stuck_amorphous + report.stuck_crystalline);
+    s.value("dead_rings", report.dead_rings);
+    let losses: Vec<f64> = xs
+        .iter()
+        .zip(&labels)
+        .take(3)
+        .map(|(x, &label)| e.try_train_sample(x, label, 0.3).unwrap())
+        .collect();
+    s.f64s("losses", &losses);
+    s.value("write_failures", e.write_failures());
+    s.value("remapped_rings", e.remapped_rings());
+    s.value("masked_rings", e.masked_rings());
+    s.f64s("forward", &e.try_forward(&xs[0]).unwrap());
+    s.mlp(&e);
+    snaps.push(s);
+
+    let mut s = EngineSnap::new("dfa_epoch");
+    let mut e = mlp(EngineOptions { seed: 7, ..Default::default() });
+    let mut fb = DfaFeedback::for_engine(&e, 41);
+    s.value("feedback_programming_energy", fb.programming_energy().value());
+    s.f64s("loss_history", &train_dfa(&mut e, &mut fb, &xs, &labels, 0.3, 1));
+    s.f64s("projection", &fb.project(0, &[0.5, -0.25, 0.75, -1.0]));
+    s.mlp(&e);
+    snaps.push(s);
+
+    // 20 classes over 54 features: a 2 × 4 dense grid whose Wᵀ is 4 × 2.
+    let mut s = EngineSnap::new("cnn_train");
+    let images = ramp_inputs(5, 64, 3);
+    let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 20, 5, 8);
+    let losses: Vec<f64> = images
+        .iter()
+        .enumerate()
+        .map(|(i, image)| cnn.train_sample(image, (i * 3) % 20, 0.1))
+        .collect();
+    s.f64s("losses", &losses);
+    s.f64s("forward", &cnn.forward(&images[0]));
+    s.f64s("digital_forward", &cnn.digital_forward(&images[0]));
+    s.f64s("conv_weights", cnn.conv_weights());
+    s.value("total_energy", cnn.total_energy().value());
+    snaps.push(s);
+
+    let mut s = EngineSnap::new("vit_classify");
+    let cfg = TransformerConfig::tiny_vit();
+    let mut vit = PhotonicTransformer::try_new(cfg.clone()).unwrap();
+    let seq: Vec<f64> = ramp_inputs(1, cfg.input_width(), 1)[0].iter().map(|v| v - 0.5).collect();
+    s.f64s("logits", &vit.try_forward_classify(&seq).unwrap());
+    s.value("total_energy", vit.total_energy().value());
+    s.value("total_elapsed", vit.total_elapsed().value());
+    s.ledger(&vit.energy_ledger());
+    snaps.push(s);
+
+    let mut s = EngineSnap::new("gpt_decode_stat");
+    let cfg = TransformerConfig {
+        stat: Some(StatParams { seed: 77, ..Default::default() }),
+        ..TransformerConfig::tiny_gpt()
+    };
+    let mut gpt = PhotonicTransformer::try_new(cfg.clone()).unwrap();
+    for (t, tok) in ramp_inputs(cfg.max_seq, cfg.d_model, 2).iter().enumerate() {
+        let tok: Vec<f64> = tok.iter().map(|v| v - 0.5).collect();
+        s.f64s(&format!("logits.{t}"), &gpt.try_decode_token(&tok).unwrap());
+    }
+    s.value("kv_cache_writes", gpt.kv_cache_writes());
+    s.value("kv_cache_reads", gpt.kv_cache_reads());
+    s.value("total_energy", gpt.total_energy().value());
+    s.value("total_elapsed", gpt.total_elapsed().value());
+    s.ledger(&gpt.energy_ledger());
+    snaps.push(s);
+
+    let body: Vec<String> = snaps.iter().map(EngineSnap::render).collect();
+    format!(
+        "{{\n  \"artifact\": \"engines\",\n  \"schedules\": {{\n{}\n  }}\n}}\n",
+        body.join(",\n")
+    )
+}
+
 #[test]
 fn golden_table4() {
     check_golden("table4.json", &table4_json());
@@ -291,6 +483,16 @@ fn golden_transformer_perf() {
 #[test]
 fn golden_transformer_kv() {
     check_golden("transformer_kv.json", &transformer_kv_json());
+}
+
+/// The functional engines (MLP, DFA, CNN, ViT, GPT) on fixed seeded
+/// schedules: outputs, final weights, energies, simulated time and every
+/// ledger entry, bit for bit. Pins the paths no `repro_all` section
+/// covers — CNN training, batched training, verified writes and the
+/// per-key ledgers.
+#[test]
+fn golden_engines() {
+    check_golden("engines.json", &engines_json());
 }
 
 /// The statistical device layer must default to OFF everywhere the paper

@@ -41,7 +41,7 @@ fn photonic_and_float_training_both_learn_the_same_task() {
     // Photonic in-situ training. Seed pinned against the vendored RNG
     // stream (see vendor/rand): 20 of 23 scanned seeds clear the bar,
     // this one with margin.
-    let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 1, None, 8);
+    let mut engine = PhotonicMlp::new(&[64, 16, 10], 1, None, 8);
     let outcome = engine.train(&xs, &labels, 0.1, 12);
 
     assert!(float_acc > 0.8, "float reference should learn, got {float_acc}");
@@ -57,7 +57,7 @@ fn training_energy_is_dominated_by_gst_programming() {
     // §V-A: "tuning the weight bank MRRs monopolizes power consumption" —
     // in training the repeated reprogramming dominates the energy bill.
     let (xs, labels, _) = digit_data(2);
-    let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, 8);
+    let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
     let outcome = engine.train(&xs, &labels, 0.1, 3);
     let share = outcome.programming_energy / outcome.total_energy;
     assert!(
@@ -74,7 +74,7 @@ fn six_bit_training_stalls_where_eight_bit_learns() {
     // holds for every scanned seed; the absolute 0.75 floor needs a
     // healthy weight draw at these short epoch counts.
     let train = |bits: u8| {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 2, None, bits);
+        let mut engine = PhotonicMlp::new(&[64, 16, 10], 2, None, bits);
         engine.train(&xs, &labels, 0.1, 10).final_accuracy
     };
     let acc8 = train(8);
@@ -88,7 +88,7 @@ fn loss_decreases_monotonically_enough() {
     // The loss curve may wobble sample to sample, but epoch means must
     // trend down over the run.
     let (xs, labels, _) = digit_data(3);
-    let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 3, None, 8);
+    let mut engine = PhotonicMlp::new(&[64, 16, 10], 3, None, 8);
     let outcome = engine.train(&xs, &labels, 0.1, 8);
     let first = outcome.loss_history.first().unwrap();
     let last = outcome.loss_history.last().unwrap();
@@ -100,7 +100,7 @@ fn trained_network_survives_weight_export_roundtrip() {
     // Export the photonically trained weights into a float network: the
     // accuracy must carry over (they are the same weights).
     let (xs, labels, inputs) = digit_data(3);
-    let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 11, None, 8);
+    let mut engine = PhotonicMlp::new(&[64, 16, 10], 11, None, 8);
     let outcome = engine.train(&xs, &labels, 0.1, 10);
 
     let w0: Vec<f32> = engine.layer_weights(0).iter().map(|&v| v as f32).collect();
