@@ -8,16 +8,32 @@
 //! and through rails accumulate, and the balanced detector reads the
 //! signed sum.
 //!
-//! After every programming event the bank pre-computes its **linear
-//! response matrices** `D[r][j]` / `T[r][j]` (drop/through power reaching
-//! the rails from channel `j` of row `r`, including upstream ring
-//! attenuation and inter-channel crosstalk). Optics is linear in power, so
-//! an MVM is two cached mat-vecs — the physics runs once per programming,
-//! not once per vector.
+//! The bank caches its **linear response matrices** `D[r][j]` / `T[r][j]`
+//! (drop/through power reaching the rails from channel `j` of row `r`,
+//! including upstream ring attenuation and inter-channel crosstalk).
+//! Optics is linear in power, so an MVM is two cached mat-vecs — the
+//! physics runs once per state change, not once per vector.
+//!
+//! The physics is split by how often its inputs change. `sin(φ/2)` of
+//! every ring on every channel is fixed by the ring's resonance and is
+//! tabulated at construction (one table per column for a nominal bank,
+//! one per slot under fabrication variation) and again when a spare
+//! replaces a ring. A GST state change costs one
+//! [`AddDropMrr::drive`] and a few multiply-adds per channel.
+//!
+//! That work is also deferred to the first read after a change: writes,
+//! masking, remapping, fault injection and aging only mark the slot and
+//! its row stale. [`WeightBank::mvm`] and [`WeightBank::mvm_stat`] settle
+//! every stale row before reading, [`WeightBank::ring_readout`] only its
+//! own row; settling refreshes the stale slots' transfer cache and
+//! recomputes that row's response. A read of a bank with nothing stale
+//! pays one branch. The outer-product mode's zero rows, rewritten before
+//! anything reads them, never have their optics computed.
 
 use crate::error::ArchError;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
 use trident_pcm::stat::{seeded_gaussian, DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
@@ -72,7 +88,9 @@ pub struct WeightBank {
     rows: usize,
     cols: usize,
     grid: WdmGrid,
-    lut: WeightLut,
+    /// The calibration table, shared by every bank built from the same
+    /// ring design and GST recipe.
+    lut: Arc<WeightLut>,
     rings: Vec<PcmMrr>,
     /// The ring design, kept so spares can be minted on demand.
     geometry: MrrGeometry,
@@ -85,14 +103,26 @@ pub struct WeightBank {
     spares: Vec<usize>,
     /// Faulty/worn cells replaced by a spare so far.
     remapped: u64,
+    /// `sin(φ/2)` of a ring on each channel, `[ring][channel]`
+    /// ([`AddDropMrr::half_phase_sin_ratio`]). Fixed by the ring's
+    /// resonance: a nominal bank keeps one ring per column (every row's
+    /// ring `k`, and any spare minted for it, sits exactly on channel
+    /// `k`); a bank with fabrication variation keeps one per slot.
+    half_phase: Vec<f64>,
     /// Cached per-ring transfer `[row][ring][channel] → (drop, through)`;
-    /// refreshed only for rings whose GST state changed, so reprogramming
+    /// refreshed only for rings whose state changed, so reprogramming
     /// during training stays cheap.
     transfer_cache: Vec<(f64, f64)>,
     /// Cached linear drop response `[row][channel]`.
     drop_coeff: Vec<f64>,
     /// Cached linear through response `[row][channel]`.
     through_coeff: Vec<f64>,
+    /// Slots whose `transfer_cache` entries predate their ring's state.
+    stale_slots: Vec<bool>,
+    /// Rows whose response predates a change to one of their slots.
+    stale_rows: Vec<bool>,
+    /// Whether any row may be stale — the one branch a clean read pays.
+    stale: bool,
     energy: EnergyLedger,
     program_events: u64,
     /// The bank's single simulated-deployment-time source: both the
@@ -138,7 +168,17 @@ impl WeightBank {
     /// Build a bank of `rows × cols` rings; column `j` of every row is
     /// resonant on WDM channel `j`.
     pub fn new(rows: usize, cols: usize, params: GstParameters) -> Self {
-        Self::new_varied(rows, cols, params, 0.0, 0)
+        let lut = Self::nominal_lut(cols, &params);
+        Self::new_varied(rows, cols, params, 0.0, 0, lut)
+    }
+
+    /// The weight LUT of a `cols`-channel bank with GST `params`,
+    /// calibrated on the nominal ring design. Banks of one grid share a
+    /// single table: it depends only on the design, so build it once and
+    /// hand each bank a clone of the `Arc`.
+    pub fn nominal_lut(cols: usize, params: &GstParameters) -> Arc<WeightLut> {
+        let template = AddDropMrr::new(MrrGeometry::weight_bank(), WdmGrid::c_band(cols).channel(0));
+        Arc::new(WeightLut::build(&template, params))
     }
 
     /// Build a bank whose rings carry **fabrication variation**: each
@@ -148,19 +188,20 @@ impl WeightBank {
     /// so deployed weights land slightly wrong — the §I mismatch between
     /// digitally trained and physically implemented weights that
     /// motivates unified in-situ training.
+    ///
+    /// `lut` must be [`WeightBank::nominal_lut`] for `cols` and `params`.
     pub fn new_varied(
         rows: usize,
         cols: usize,
         params: GstParameters,
         resonance_sigma_nm: f64,
         variation_seed: u64,
+        lut: Arc<WeightLut>,
     ) -> Self {
         assert!(rows >= 1 && cols >= 1, "bank needs at least one ring");
         assert!(resonance_sigma_nm >= 0.0, "sigma cannot be negative");
         let grid = WdmGrid::c_band(cols);
         let geometry = MrrGeometry::weight_bank();
-        let template = AddDropMrr::new(geometry, grid.channel(0));
-        let lut = WeightLut::build(&template, &params);
         let mut noise = trident_photonics::noise::NoiseModel::seeded(variation_seed);
         let mut rings = Vec::with_capacity(rows * cols);
         for _r in 0..rows {
@@ -174,7 +215,10 @@ impl WeightBank {
                 rings.push(PcmMrr::new(AddDropMrr::new(geometry, resonance), params));
             }
         }
-        let mut bank = Self {
+        let phase_rings = if resonance_sigma_nm > 0.0 { rows * cols } else { cols };
+        let half_phase = half_phase_table(&rings[..phase_rings], &grid);
+        // Nothing is computed yet: the first read settles every row.
+        Self {
             rows,
             cols,
             grid,
@@ -185,35 +229,96 @@ impl WeightBank {
             masked: vec![false; rows * cols],
             spares: vec![DEFAULT_SPARES_PER_ROW; rows],
             remapped: 0,
+            half_phase,
             transfer_cache: vec![(0.0, 0.0); rows * cols * cols],
             drop_coeff: vec![0.0; rows * cols],
             through_coeff: vec![0.0; rows * cols],
+            stale_slots: vec![true; rows * cols],
+            stale_rows: vec![true; rows],
+            stale: true,
             energy: EnergyLedger::new(),
             program_events: 0,
             clock: DegradationClock::new(),
             stat: None,
-        };
-        for r in 0..rows {
-            for k in 0..cols {
-                bank.refresh_ring_cache(r, k);
-            }
         }
-        bank.recompute_response();
-        bank
     }
 
-    /// Re-evaluate the physics for one ring across every channel. A masked
-    /// (dead) ring is heater-detuned far off the bus: transparent on every
-    /// channel, contributing neither drop power nor crosstalk.
-    fn refresh_ring_cache(&mut self, r: usize, k: usize) {
-        for j in 0..self.cols {
-            let t = if self.masked[r * self.cols + k] {
-                (0.0, 1.0)
-            } else {
-                let t = self.ring(r, k).transfer(self.grid.channel(j));
-                (t.drop, t.through)
-            };
-            self.transfer_cache[(r * self.cols + k) * self.cols + j] = t;
+    /// Row of `half_phase` holding slot `idx`'s ring: the slot itself
+    /// when the table has one row per slot, else its column.
+    fn phase_ring(&self, idx: usize) -> usize {
+        if self.half_phase.len() == self.rings.len() * self.cols {
+            idx
+        } else {
+            idx % self.cols
+        }
+    }
+
+    /// Re-evaluate the physics for slot `idx`'s ring across every
+    /// channel. A masked (dead) ring is heater-detuned far off the bus:
+    /// transparent on every channel, contributing neither drop power nor
+    /// crosstalk.
+    fn refresh_ring_cache(&mut self, idx: usize) {
+        let cols = self.cols;
+        let phase_lo = self.phase_ring(idx) * cols;
+        let cache = &mut self.transfer_cache[idx * cols..(idx + 1) * cols];
+        if self.masked[idx] {
+            cache.fill((0.0, 1.0));
+            return;
+        }
+        let drive = self.rings[idx].drive();
+        for (t, &s) in cache.iter_mut().zip(&self.half_phase[phase_lo..phase_lo + cols]) {
+            let port = drive.at(s);
+            *t = (port.drop, port.through);
+        }
+    }
+
+    /// Record that slot `idx`'s optics changed; the physics runs when its
+    /// row is next read.
+    fn mark_stale(&mut self, idx: usize) {
+        self.stale_slots[idx] = true;
+        self.stale_rows[idx / self.cols] = true;
+        self.stale = true;
+    }
+
+    /// Settle every stale row before a whole-bank read.
+    #[inline]
+    fn settle(&mut self) {
+        if self.stale {
+            for r in 0..self.rows {
+                self.settle_row(r);
+            }
+            self.stale = false;
+        }
+    }
+
+    /// Refresh row `r`'s stale slots and recompute its response.
+    #[inline]
+    fn settle_row(&mut self, r: usize) {
+        if !self.stale_rows[r] {
+            return;
+        }
+        for idx in r * self.cols..(r + 1) * self.cols {
+            if self.stale_slots[idx] {
+                self.refresh_ring_cache(idx);
+                self.stale_slots[idx] = false;
+            }
+        }
+        self.recompute_row_response(r);
+        self.stale_rows[r] = false;
+    }
+
+    /// Rebuild the phase table from the rings and mark every slot stale,
+    /// so the next read recomputes all optics from scratch: the reference
+    /// the invalidation tests compare the incremental caches against.
+    #[cfg(test)]
+    fn mark_all_stale(&mut self) {
+        let phase_rings = self.half_phase.len() / self.cols;
+        self.half_phase = half_phase_table(&self.rings[..phase_rings], &self.grid);
+        self.transfer_cache.fill((f64::NAN, f64::NAN));
+        self.drop_coeff.fill(f64::NAN);
+        self.through_coeff.fill(f64::NAN);
+        for idx in 0..self.rings.len() {
+            self.mark_stale(idx);
         }
     }
 
@@ -241,10 +346,6 @@ impl WeightBank {
         &self.grid
     }
 
-    fn ring(&self, r: usize, c: usize) -> &PcmMrr {
-        &self.rings[r * self.cols + c]
-    }
-
     /// Program the whole bank from a row-major weight matrix (`rows`
     /// slices of `cols` weights each, entries in `[-1, 1]`). All rings
     /// program in parallel optically, so wall-clock cost is one write time
@@ -258,21 +359,29 @@ impl WeightBank {
     ///
     /// # Panics
     /// Panics on shape mismatches or out-of-range weights (caller bugs).
-    pub fn program(&mut self, weights: &[&[f64]]) -> (EnergyPj, Nanoseconds) {
+    pub fn program<I>(&mut self, weights: I) -> (EnergyPj, Nanoseconds)
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: AsRef<[f64]>,
+    {
+        let weights = weights.into_iter();
         assert_eq!(weights.len(), self.rows, "row count mismatch");
         let mut spent = EnergyPj::ZERO;
-        for (r, row) in weights.iter().enumerate() {
+        for (r, row) in weights.enumerate() {
+            let row = row.as_ref();
             assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
             for (c, &w) in row.iter().enumerate() {
-                if self.masked[r * self.cols + c] {
+                let idx = r * self.cols + c;
+                if self.masked[idx] {
                     continue;
                 }
-                match self.rings[r * self.cols + c].try_set_weight(w, &self.lut) {
+                match self.rings[idx].try_set_weight(w, &self.lut) {
                     Ok(e) => {
                         if e.value() > 0.0 {
                             spent += e;
-                            self.refresh_ring_cache(r, c);
-                            self.stat_on_write(r * self.cols + c, w);
+                            self.mark_stale(idx);
+                            self.stat_on_write(idx, w);
                         }
                     }
                     Err(e @ PcmError::WeightOutOfRange(_)) => panic!("{e}"),
@@ -285,7 +394,6 @@ impl WeightBank {
         let time = if spent.value() > 0.0 {
             self.program_events += 1;
             self.energy.charge("gst write", spent);
-            self.recompute_response();
             self.rings[0].cell().params().write_time
         } else {
             Nanoseconds(0.0)
@@ -293,11 +401,10 @@ impl WeightBank {
         (spent, time)
     }
 
-    /// Program from a flat matrix helper (for tensors).
+    /// Program from a flat row-major matrix (for tensors).
     pub fn program_flat(&mut self, weights: &[f64]) -> (EnergyPj, Nanoseconds) {
         assert_eq!(weights.len(), self.rows * self.cols, "matrix size mismatch");
-        let rows: Vec<&[f64]> = weights.chunks(self.cols).collect();
-        self.program(&rows)
+        self.program(weights.chunks(self.cols))
     }
 
     /// The weight currently programmed at `(r, c)` (quantized readback).
@@ -306,7 +413,7 @@ impl WeightBank {
         if self.masked[r * self.cols + c] {
             return 0.0;
         }
-        self.ring(r, c).weight(&self.lut)
+        self.rings[r * self.cols + c].weight(&self.lut)
     }
 
     /// Fault-aware closed-loop programming: every changed cell goes
@@ -361,7 +468,7 @@ impl WeightBank {
                 // a cell past its endurance budget.
                 let remaining = self.rings[idx].cell().endurance_remaining();
                 if remaining < u64::from(policy.max_attempts) {
-                    if self.remap_slot(r, c).is_ok() {
+                    if self.remap_ring(r, c).is_ok() {
                         report.remapped += 1;
                         changed = true;
                     } else {
@@ -374,7 +481,7 @@ impl WeightBank {
                                 endurance: cell.params().endurance_cycles,
                             },
                         ));
-                        self.mask_slot(r, c);
+                        self.mask_ring(r, c);
                         report.masked += 1;
                         changed = true;
                         continue;
@@ -391,7 +498,6 @@ impl WeightBank {
             if report.energy.value() > 0.0 {
                 self.energy.charge("gst write", report.energy);
             }
-            self.recompute_response();
             report.time
         } else {
             Nanoseconds(0.0)
@@ -426,7 +532,7 @@ impl WeightBank {
                         if wr.pulses > 1 {
                             report.retried_cells += 1;
                         }
-                        self.refresh_ring_cache(r, c);
+                        self.mark_stale(idx);
                         self.stat_on_write(idx, w);
                         return Ok(true);
                     }
@@ -437,13 +543,13 @@ impl WeightBank {
                     | PcmError::WriteVerifyFailed { .. }
                     | PcmError::WornOut { .. }),
                 ) => {
-                    if !remapped_retry && self.remap_slot(r, c).is_ok() {
+                    if !remapped_retry && self.remap_ring(r, c).is_ok() {
                         report.remapped += 1;
                         remapped_retry = true;
                         continue; // retry once on the fresh spare
                     }
                     report.failures.push((r, c, e));
-                    self.mask_slot(r, c);
+                    self.mask_ring(r, c);
                     report.masked += 1;
                     return Ok(true);
                 }
@@ -454,48 +560,40 @@ impl WeightBank {
     }
 
     /// Replace the ring at `(r, c)` with one of the row's spares (a fresh
-    /// nominal ring heater-trimmed onto the slot's channel). Does not
-    /// recompute the response — callers batch that.
-    fn remap_slot(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
+    /// nominal ring heater-trimmed onto the slot's channel).
+    pub fn remap_ring(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
         if self.spares[r] == 0 {
             return Err(ArchError::SparesExhausted { row: r, col: c });
         }
         self.spares[r] -= 1;
         self.remapped += 1;
         let idx = r * self.cols + c;
-        self.rings[idx] =
-            PcmMrr::new(AddDropMrr::new(self.geometry, self.grid.channel(c)), self.params);
+        let ring = AddDropMrr::new(self.geometry, self.grid.channel(c));
+        self.rings[idx] = PcmMrr::new(ring, self.params);
+        // The spare sits exactly on channel `c`, so in a nominal bank this
+        // rewrites the column's entries with the bits they already hold.
+        let phase_lo = self.phase_ring(idx) * self.cols;
+        let phases = &mut self.half_phase[phase_lo..phase_lo + self.cols];
+        for (s, lambda) in phases.iter_mut().zip(self.grid.channels()) {
+            *s = ring.half_phase_sin_ratio(lambda);
+        }
         self.masked[idx] = false;
-        self.refresh_ring_cache(r, c);
-        Ok(())
-    }
-
-    /// Mark `(r, c)` dead without recomputing the response.
-    fn mask_slot(&mut self, r: usize, c: usize) {
-        self.masked[r * self.cols + c] = true;
-        self.refresh_ring_cache(r, c);
-    }
-
-    /// Remap the ring at `(r, c)` onto a spare and refresh the optics.
-    pub fn remap_ring(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
-        self.remap_slot(r, c)?;
-        self.recompute_response();
+        self.mark_stale(idx);
         Ok(())
     }
 
     /// Mask the slot at `(r, c)` as dead: the ring is detuned off the bus
     /// and the receiver cancels its channel for this row (zero weight).
     pub fn mask_ring(&mut self, r: usize, c: usize) {
-        self.mask_slot(r, c);
-        self.recompute_response();
+        self.masked[r * self.cols + c] = true;
+        self.mark_stale(r * self.cols + c);
     }
 
-    /// Pin the GST cell at `(r, c)` in a hard fault state and refresh the
-    /// optics (the cell's transfer snaps to the stuck phase).
+    /// Pin the GST cell at `(r, c)` in a hard fault state (the cell's
+    /// transfer snaps to the stuck phase).
     pub fn inject_ring_fault(&mut self, r: usize, c: usize, fault: GstFault) {
         self.rings[r * self.cols + c].inject_fault(fault);
-        self.refresh_ring_cache(r, c);
-        self.recompute_response();
+        self.mark_stale(r * self.cols + c);
     }
 
     /// Age every GST cell by `years` of crystallinity drift and refresh
@@ -549,12 +647,9 @@ impl WeightBank {
         for ring in &mut self.rings {
             ring.age(years);
         }
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                self.refresh_ring_cache(r, k);
-            }
+        for idx in 0..self.rings.len() {
+            self.mark_stale(idx);
         }
-        self.recompute_response();
     }
 
     /// Switch on the statistical device layer: seeded per-cell drift
@@ -705,33 +800,30 @@ impl WeightBank {
         self.rings.iter().map(PcmMrr::write_failures).sum()
     }
 
-    /// Recompute the linear rail response of every row from the per-ring
-    /// cache (pure multiply-adds; the transcendental physics lives in
+    /// Recompute the linear rail response of row `r` from the per-ring
+    /// cache (pure multiply-adds; the physics lives in
     /// [`Self::refresh_ring_cache`]).
-    fn recompute_response(&mut self) {
-        for r in 0..self.rows {
-            for j in 0..self.cols {
-                // A masked ring passes its own channel straight to the
-                // through rail, which a balanced detector would read as a
-                // hard negative weight. The receiver therefore cancels the
-                // dead channel electronically (per-row calibration offset):
-                // the column contributes exactly zero to this row.
-                if self.masked[r * self.cols + j] {
-                    self.drop_coeff[r * self.cols + j] = 0.0;
-                    self.through_coeff[r * self.cols + j] = 0.0;
-                    continue;
-                }
-                let mut p = 1.0; // unit input power on channel j
-                let mut dropped = 0.0;
-                for k in 0..self.cols {
-                    let (drop, through) =
-                        self.transfer_cache[(r * self.cols + k) * self.cols + j];
-                    dropped += p * drop;
-                    p *= through;
-                }
-                self.drop_coeff[r * self.cols + j] = dropped;
-                self.through_coeff[r * self.cols + j] = p;
+    fn recompute_row_response(&mut self, r: usize) {
+        for j in 0..self.cols {
+            // A masked ring passes its own channel straight to the
+            // through rail, which a balanced detector would read as a
+            // hard negative weight. The receiver therefore cancels the
+            // dead channel electronically (per-row calibration offset):
+            // the column contributes exactly zero to this row.
+            if self.masked[r * self.cols + j] {
+                self.drop_coeff[r * self.cols + j] = 0.0;
+                self.through_coeff[r * self.cols + j] = 0.0;
+                continue;
             }
+            let mut p = 1.0; // unit input power on channel j
+            let mut dropped = 0.0;
+            for k in 0..self.cols {
+                let (drop, through) = self.transfer_cache[(r * self.cols + k) * self.cols + j];
+                dropped += p * drop;
+                p *= through;
+            }
+            self.drop_coeff[r * self.cols + j] = dropped;
+            self.through_coeff[r * self.cols + j] = p;
         }
     }
 
@@ -741,7 +833,8 @@ impl WeightBank {
     ///
     /// # Panics
     /// Panics on width mismatch or out-of-range inputs.
-    pub fn mvm(&self, x: &[f64]) -> Vec<f64> {
+    pub fn mvm(&mut self, x: &[f64]) -> Vec<f64> {
+        self.settle();
         assert_eq!(x.len(), self.cols, "input width mismatch");
         for (j, &v) in x.iter().enumerate() {
             assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
@@ -773,6 +866,7 @@ impl WeightBank {
     /// [`WeightBank::mvm`] (the noise-off passthrough the proptests pin);
     /// with the layer off it *is* `mvm`.
     pub fn mvm_stat(&mut self, x: &[f64]) -> Vec<f64> {
+        self.settle();
         let Some(mut stat) = self.stat.take() else {
             return self.mvm(x);
         };
@@ -810,7 +904,8 @@ impl WeightBank {
     /// the wavelength-demultiplexed drop−through response of ring
     /// `(r, c)` on its own channel, including the attenuation of the other
     /// rings on the row. Approximately `scale · w(r, c)`.
-    pub fn ring_readout(&self, r: usize, c: usize) -> f64 {
+    pub fn ring_readout(&mut self, r: usize, c: usize) -> f64 {
+        self.settle_row(r);
         if self.masked[r * self.cols + c] {
             return 0.0; // dead slot: channel cancelled at the receiver
         }
@@ -876,6 +971,15 @@ impl WeightBank {
     pub fn max_ring_writes(&self) -> u64 {
         self.rings.iter().map(PcmMrr::write_count).max().unwrap_or(0)
     }
+}
+
+/// `sin(φ/2)` of each of `rings` on every channel of `grid`,
+/// `[ring][channel]`.
+fn half_phase_table(rings: &[PcmMrr], grid: &WdmGrid) -> Vec<f64> {
+    rings
+        .iter()
+        .flat_map(|m| grid.channels().map(move |lambda| m.ring().half_phase_sin_ratio(lambda)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1015,7 +1119,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn mvm_rejects_out_of_range_input() {
-        let b = bank4();
+        let mut b = bank4();
         let _ = b.mvm(&[1.5, 0.0, 0.0, 0.0]);
     }
 
@@ -1147,5 +1251,124 @@ mod tests {
             b.max_ring_writes()
         );
         assert!(b.remapped_count() > 0, "worn cells should have been remapped");
+    }
+
+    // ---- deferred optics: incremental caches vs a rebuild from scratch ----
+
+    use proptest::prelude::*;
+    use trident_pcm::stat::StatParams;
+
+    /// A deterministic weight pattern in `[-1, 1]` keyed by `key`.
+    fn pattern(n: usize, key: f64) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.7311 + key * 13.0).sin()).collect()
+    }
+
+    /// Every read of `bank`: each ring readout (settling one row at a
+    /// time), the deterministic MVM and the statistical one.
+    /// `readouts_first` picks whether rows settle one by one or all at
+    /// once on the first read.
+    fn reads(bank: &mut WeightBank, readouts_first: bool) -> Vec<f64> {
+        let x: Vec<f64> = (0..bank.cols()).map(|j| [0.9, 0.3, 1.0, 0.55, 0.0][j % 5]).collect();
+        let mut readouts = Vec::new();
+        let mut mvms = Vec::new();
+        if !readouts_first {
+            mvms.extend(bank.mvm(&x));
+        }
+        for r in 0..bank.rows() {
+            for c in 0..bank.cols() {
+                readouts.push(bank.ring_readout(r, c));
+            }
+        }
+        mvms.extend(bank.mvm(&x));
+        mvms.extend(bank.mvm_stat(&x));
+        readouts.extend(mvms);
+        readouts
+    }
+
+    /// The reads of a copy of `bank` with its caches as they are equal,
+    /// bitwise, those of a copy with every cache rebuilt from scratch.
+    fn assert_matches_rebuild(bank: &WeightBank, readouts_first: bool) {
+        let mut fresh = bank.clone();
+        fresh.mark_all_stale();
+        let got = reads(&mut bank.clone(), readouts_first);
+        let want = reads(&mut fresh, readouts_first);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "read {i}: incremental {g} vs rebuilt {w}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// No sequence of writes, masks, remaps, faults, aging or reads
+        /// leaves a stale cache behind: after every operation the bank's
+        /// reads are bitwise those of the same bank with every cache
+        /// rebuilt from the rings.
+        #[test]
+        fn deferred_optics_match_a_full_rebuild(
+            shape in (2usize..=5, 2usize..=5),
+            varied in 0usize..2,
+            stat_at_start in 0usize..2,
+            ops in proptest::collection::vec(
+                (0usize..10, 0usize..8, 0usize..8, -1.0f64..=1.0),
+                1..20,
+            ),
+        ) {
+            let (rows, cols) = shape;
+            let params = GstParameters::default();
+            let lut = WeightBank::nominal_lut(cols, &params);
+            let sigma = if varied == 1 { 0.02 } else { 0.0 };
+            let mut bank = WeightBank::new_varied(rows, cols, params, sigma, 11, lut);
+            if stat_at_start == 1 {
+                bank.enable_stat(StatParams::default(), 5);
+            }
+            assert_matches_rebuild(&bank, false);
+            for (step, &(op, a, b, v)) in ops.iter().enumerate() {
+                let (r, c) = (a % rows, b % cols);
+                match op {
+                    0 => {
+                        bank.program_flat(&pattern(rows * cols, v));
+                    }
+                    1 => {
+                        let policy = WriteVerifyPolicy::default();
+                        let mut rng = StdRng::seed_from_u64(step as u64);
+                        bank.try_program_verified(&pattern(rows * cols, v), &policy, &mut rng)
+                            .expect("shape is valid");
+                    }
+                    2 => {
+                        // Outer-product mode: y on row 0, zeros elsewhere.
+                        let mut tile = vec![0.0; rows * cols];
+                        tile[..cols].copy_from_slice(&pattern(cols, v));
+                        bank.program_flat(&tile);
+                    }
+                    3 => bank.mask_ring(r, c),
+                    4 => {
+                        let _ = bank.remap_ring(r, c);
+                    }
+                    5 => {
+                        let fault = if v < 0.0 {
+                            GstFault::StuckAmorphous
+                        } else {
+                            GstFault::StuckCrystalline
+                        };
+                        bank.inject_ring_fault(r, c, fault);
+                    }
+                    6 => bank.advance_years(v.abs() * 2.0),
+                    7 => {
+                        if !bank.stat_enabled() {
+                            bank.enable_stat(StatParams::default(), 5);
+                        }
+                    }
+                    // Partial settles carried into later operations.
+                    8 => {
+                        bank.ring_readout(r, c);
+                    }
+                    _ => {
+                        bank.mvm(&vec![0.5; cols]);
+                    }
+                }
+                assert_matches_rebuild(&bank, step % 2 == 0);
+            }
+        }
     }
 }

@@ -510,14 +510,17 @@ impl PhotonicCnn {
             }
             let delta_h = d * fprime;
             // Per-position outer product row: δW_conv[f] += δh · patch.
-            let patch = self.cached_patches[pos].clone();
+            let patch = &self.cached_patches[pos];
             let p_scale =
                 patch.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-            let y_slice: Vec<f64> = patch.iter().map(|&v| v / p_scale).collect();
-            let products = self.conv.pes_mut()[0].outer_product(&[delta_h], &y_slice);
-            for (j, &p) in products[0].iter().enumerate() {
-                conv_grad[f * patch_len + j] += p * p_scale;
+            let mut tile = [0.0; TILE * TILE];
+            for (dst, &v) in tile.iter_mut().zip(patch) {
+                *dst = v / p_scale;
             }
+            let grad_row = &mut conv_grad[f * patch_len..(f + 1) * patch_len];
+            self.conv.pes_mut()[0].outer_product(&[delta_h], &tile, patch_len, |_, j, p| {
+                grad_row[j] += p * p_scale;
+            });
         }
 
         // Eq. 1 updates + reprogram.

@@ -24,9 +24,11 @@ use crate::bank::{ProgramReport, WeightBank};
 use crate::error::ArchError;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use trident_pcm::activation::{ActivationCellParams, GstActivationCell};
 use trident_pcm::gst::{GstParameters, WriteVerifyPolicy};
 use trident_pcm::ldsu::Ldsu;
+use trident_pcm::weight::WeightLut;
 use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::laser::EoModulator;
 use trident_photonics::ledger::EnergyLedger;
@@ -89,24 +91,29 @@ pub struct ProcessingElement {
     /// Fractional loss of input laser power (0 = healthy source). An aged
     /// or degraded pump scales every detected product down uniformly.
     laser_droop: f64,
+    /// Outer-product ring readouts, reused across calls.
+    readout: Vec<f64>,
 }
 
 impl ProcessingElement {
     /// Build a PE with a `rows × cols` weight bank. `noise_seed: None`
     /// disables receiver noise (ideal devices).
     pub fn new(rows: usize, cols: usize, noise_seed: Option<u64>) -> Self {
-        Self::with_variation(rows, cols, noise_seed, 0.0, 0)
+        let lut = WeightBank::nominal_lut(cols, &GstParameters::default());
+        Self::with_variation(rows, cols, noise_seed, 0.0, 0, lut)
     }
 
     /// Build a PE whose rings carry fabrication variation (Gaussian
     /// resonance offsets of `resonance_sigma_nm`; see
-    /// [`WeightBank::new_varied`]).
+    /// [`WeightBank::new_varied`]), sharing the calibration table `lut`
+    /// ([`WeightBank::nominal_lut`] for `cols` and the default GST).
     pub fn with_variation(
         rows: usize,
         cols: usize,
         noise_seed: Option<u64>,
         resonance_sigma_nm: f64,
         variation_seed: u64,
+        lut: Arc<WeightLut>,
     ) -> Self {
         let bank = WeightBank::new_varied(
             rows,
@@ -114,6 +121,7 @@ impl ProcessingElement {
             GstParameters::default(),
             resonance_sigma_nm,
             variation_seed,
+            lut,
         );
         let modulator = EoModulator::for_grid(bank.grid());
         let symbol_time = modulator.symbol_time;
@@ -131,6 +139,7 @@ impl ProcessingElement {
             energy: EnergyLedger::new(),
             elapsed: Nanoseconds(0.0),
             laser_droop: 0.0,
+            readout: Vec::with_capacity(cols),
         }
     }
 
@@ -292,38 +301,38 @@ impl ProcessingElement {
         self.ldsus[r].derivative()
     }
 
-    /// Outer product `δh ⊗ y`: program the bank's first row with `y`,
-    /// stream one `δh` element per symbol, read the per-wavelength ring
-    /// products via the drop-bus demux.
+    /// Outer product `δh ⊗ y`: program the bank with `tile`, stream one
+    /// `δh` element per symbol, read the per-wavelength ring products via
+    /// the drop-bus demux, and hand product `(i, j) = δh_i · y_j` to
+    /// `emit(i, j, product)`.
     ///
-    /// `y` entries must lie in `[-1, 1]` (they are weights); `δh` may have
-    /// any magnitude (scalar per symbol — its sign and scale stay
-    /// electronic).
-    pub fn outer_product(&mut self, dh: &[f64], y: &[f64]) -> Vec<Vec<f64>> {
-        assert!(y.len() <= self.cols(), "y wider than the bank");
-        let mut row0 = vec![0.0; self.cols()];
-        row0[..y.len()].copy_from_slice(y);
-        let zeros = vec![0.0; self.cols()];
-        let mut matrix: Vec<&[f64]> = vec![&zeros; self.rows()];
-        matrix[0] = &row0;
-        let (energy, time) = self.bank.program(&matrix);
-        if energy.value() > 0.0 {
-            self.energy.charge("gst write", energy);
-            self.elapsed += time;
-            obs::add(obs::Counter::PcmWrites, 1);
-            obs::add_pj(obs::Counter::PcmWriteFj, energy.value());
-        }
-        let readout: Vec<f64> = if self.bank.stat_enabled() {
-            (0..y.len()).map(|c| self.bank.ring_readout_stat(0, c)).collect()
+    /// `tile` is the flat row-major bank image: `y` in the first `y_len`
+    /// entries of row 0, zeros everywhere else. `y` entries must lie in
+    /// `[-1, 1]` (they are weights); `δh` may have any magnitude (scalar
+    /// per symbol — its sign and scale stay electronic).
+    pub fn outer_product(
+        &mut self,
+        dh: &[f64],
+        tile: &[f64],
+        y_len: usize,
+        mut emit: impl FnMut(usize, usize, f64),
+    ) {
+        assert!(y_len <= self.cols(), "y wider than the bank");
+        self.program(tile);
+        let mut readout = std::mem::take(&mut self.readout);
+        readout.clear();
+        if self.bank.stat_enabled() {
+            readout.extend((0..y_len).map(|c| self.bank.ring_readout_stat(0, c)));
         } else {
-            (0..y.len()).map(|c| self.bank.ring_readout(0, c)).collect()
-        };
-        let mut out = Vec::with_capacity(dh.len());
-        for &d in dh {
-            self.charge_symbol(y.len());
-            out.push(readout.iter().map(|&w| w * d).collect());
+            readout.extend((0..y_len).map(|c| self.bank.ring_readout(0, c)));
         }
-        out
+        for (i, &d) in dh.iter().enumerate() {
+            self.charge_symbol(y_len);
+            for (j, &w) in readout.iter().enumerate() {
+                emit(i, j, w * d);
+            }
+        }
+        self.readout = readout;
     }
 
     fn charge_symbol(&mut self, active_channels: usize) {
@@ -445,10 +454,11 @@ mod tests {
         let mut p = pe();
         let dh = [0.5, -1.5, 2.0];
         let y = [0.8, -0.4, 0.1, 0.9];
-        let m = p.outer_product(&dh, &y);
-        assert_eq!(m.len(), 3);
+        let mut tile = [0.0; 16];
+        tile[..4].copy_from_slice(&y);
+        let mut m = [[f64::NAN; 4]; 3];
+        p.outer_product(&dh, &tile, y.len(), |i, j, v| m[i][j] = v);
         for (i, row) in m.iter().enumerate() {
-            assert_eq!(row.len(), 4);
             for (j, &v) in row.iter().enumerate() {
                 let want = dh[i] * y[j];
                 assert!(

@@ -14,10 +14,12 @@
 //! electronically, column tiles in ascending order. The matrix values
 //! themselves stay with each engine, which passes them in to program.
 
+use crate::bank::WeightBank;
 use crate::error::ArchError;
 use crate::pe::ProcessingElement;
 use rand::rngs::StdRng;
-use trident_pcm::gst::WriteVerifyPolicy;
+use std::sync::Arc;
+use trident_pcm::gst::{GstParameters, WriteVerifyPolicy};
 use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
@@ -80,9 +82,11 @@ fn band(t: usize, len: usize) -> (usize, usize) {
 
 impl TiledMatrix {
     /// Allocate the grid for an `out × in` matrix, building PE `t` (in
-    /// row-major tile order) from `seed(t)`. The banks start unprogrammed.
+    /// row-major tile order) from `seed(t)`. The banks start unprogrammed
+    /// and share one weight LUT.
     pub(crate) fn new(out: usize, inp: usize, mut seed: impl FnMut(usize) -> TileSeed) -> Self {
         let (row_tiles, col_tiles) = (out.div_ceil(TILE), inp.div_ceil(TILE));
+        let lut = WeightBank::nominal_lut(TILE, &GstParameters::default());
         let pes = (0..row_tiles * col_tiles)
             .map(|t| {
                 let s = seed(t);
@@ -92,6 +96,7 @@ impl TiledMatrix {
                     s.noise,
                     s.resonance_sigma_nm,
                     s.variation_seed,
+                    Arc::clone(&lut),
                 );
                 if let Some((params, identity)) = s.stat {
                     pe.bank_mut().enable_stat(params, identity);
@@ -288,25 +293,25 @@ impl TiledMatrix {
 
     /// Table II outer-product mode: `δW = δh ⊗ y`, tile by tile, returned
     /// row-major `out × in`. `y` enters the banks as weights, normalised
-    /// by `max |y|` into `[-1, 1]`.
+    /// by `max |y|` into `[-1, 1]`, on row 0 of a zero tile.
     pub(crate) fn outer_product(&mut self, dh: &[f64], y: &[f64]) -> Vec<f64> {
         let y_scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(SCALE_FLOOR);
-        let mut grad = vec![0.0; self.out * self.inp];
+        let inp = self.inp;
+        let mut grad = vec![0.0; self.out * inp];
         for rt in 0..self.row_tiles {
             let (dh_lo, dh_hi) = band(rt, self.out);
             for ct in 0..self.col_tiles {
-                let (y_lo, y_hi) = band(ct, self.inp);
-                let mut y_tile = [0.0; TILE];
-                for (dst, &v) in y_tile.iter_mut().zip(&y[y_lo..y_hi]) {
+                let (y_lo, y_hi) = band(ct, inp);
+                let mut tile = [0.0; TILE * TILE];
+                for (dst, &v) in tile.iter_mut().zip(&y[y_lo..y_hi]) {
                     *dst = v / y_scale;
                 }
-                let products = self.pes[rt * self.col_tiles + ct]
-                    .outer_product(&dh[dh_lo..dh_hi], &y_tile[..y_hi - y_lo]);
-                for (i, row) in products.iter().enumerate() {
-                    for (j, &p) in row.iter().enumerate() {
-                        grad[(dh_lo + i) * self.inp + y_lo + j] = p * y_scale;
-                    }
-                }
+                self.pes[rt * self.col_tiles + ct].outer_product(
+                    &dh[dh_lo..dh_hi],
+                    &tile,
+                    y_hi - y_lo,
+                    |i, j, p| grad[(dh_lo + i) * inp + y_lo + j] = p * y_scale,
+                );
             }
         }
         grad

@@ -24,8 +24,15 @@ fn pe_modes(c: &mut Criterion) {
     c.bench_function("pe_outer_product_16x16", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);
         let dh: Vec<f64> = (0..16).map(|i| (i as f64 - 8.0) / 8.0).collect();
-        let y: Vec<f64> = (0..16).map(|i| i as f64 / 16.0).collect();
-        b.iter(|| black_box(pe.outer_product(black_box(&dh), black_box(&y))))
+        let mut tile = [0.0; 256];
+        for (j, t) in tile[..16].iter_mut().enumerate() {
+            *t = j as f64 / 16.0;
+        }
+        let mut sum = 0.0;
+        b.iter(|| {
+            pe.outer_product(black_box(&dh), black_box(&tile), 16, |_, _, p| sum += p);
+            black_box(sum)
+        })
     });
     c.bench_function("pe_latch_and_activate", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);

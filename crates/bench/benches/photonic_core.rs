@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the photonic device substrate: ring
-//! transfer evaluation, weight-LUT calibration, bank programming, and the
-//! cached optical matrix-vector product — the hot paths of the functional
+//! transfer evaluation, weight-LUT calibration, bank programming (alone
+//! and followed by the read that settles its optics), and the cached
+//! optical matrix-vector product — the hot paths of the functional
 //! simulator.
 
 
@@ -58,6 +59,20 @@ fn bank_ops(c: &mut Criterion) {
                     .map(|&v| if toggle { v } else { -v })
                     .collect();
                 black_box(bank.program_flat(&w))
+            })
+        });
+        // With deferred optics `program` only marks cells stale; the
+        // physics runs on the next read. One write plus one MVM is the
+        // whole cost of a training-style reprogramming.
+        group.bench_with_input(BenchmarkId::new("program_mvm", size), &size, |b, &s| {
+            let mut bank = WeightBank::new(s, s, GstParameters::default());
+            let negated: Vec<f64> = weights.iter().map(|&v| -v).collect();
+            let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
+            let mut toggle = false;
+            b.iter(|| {
+                toggle = !toggle;
+                bank.program_flat(if toggle { &weights } else { &negated });
+                black_box(bank.mvm(black_box(&x)))
             })
         });
         group.bench_with_input(BenchmarkId::new("mvm", size), &size, |b, &s| {

@@ -60,13 +60,12 @@ pub fn run() -> Vec<Row> {
     let mut pe3 = ProcessingElement::new(4, 4, None);
     let dh = [0.5, -1.0, 0.25, 0.75];
     let yv = [0.8, -0.4, 0.1, 0.9];
-    let outer = pe3.outer_product(&dh, &yv);
+    let mut tile = [0.0; 16];
+    tile[..4].copy_from_slice(&yv);
     let mut err_outer: f64 = 0.0;
-    for i in 0..4 {
-        for j in 0..4 {
-            err_outer = err_outer.max((outer[i][j] - dh[i] * yv[j]).abs());
-        }
-    }
+    pe3.outer_product(&dh, &tile, yv.len(), |i, j, p| {
+        err_outer = err_outer.max((p - dh[i] * yv[j]).abs());
+    });
 
     vec![
         Row {

@@ -25,7 +25,7 @@ use crate::error::PcmError;
 use crate::gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use trident_photonics::mrr::{AddDropMrr, PortTransfer};
+use trident_photonics::mrr::{AddDropMrr, MrrDrive, PortTransfer};
 use trident_photonics::units::{EnergyPj, Wavelength};
 
 /// Calibration table from target weight to (GST level, crystallinity) for
@@ -275,6 +275,12 @@ impl PcmMrr {
     /// Optical response at wavelength `λ` with the current GST state.
     pub fn transfer(&self, lambda: Wavelength) -> PortTransfer {
         self.ring.transfer(lambda, self.cell.amplitude())
+    }
+
+    /// The ring's transfer function at the current GST state, ready to
+    /// be evaluated on any channel ([`AddDropMrr::drive`]).
+    pub fn drive(&self) -> MrrDrive {
+        self.ring.drive(self.cell.amplitude())
     }
 
     /// Optical response exactly on the ring's channel.

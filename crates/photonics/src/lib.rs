@@ -60,7 +60,7 @@ pub use detector::{BalancedPhotodetector, Photodetector, TransimpedanceAmplifier
 pub use laser::{EoModulator, LaserSource};
 pub use ledger::{EnergyLedger, PowerLedger};
 pub use link::{LinkBudget, LinkReport};
-pub use mrr::{AddDropMrr, MrrGeometry};
+pub use mrr::{AddDropMrr, MrrDrive, MrrGeometry};
 pub use mzm::MachZehnder;
 pub use thermal::ThermalTunerArray;
 pub use noise::NoiseModel;

@@ -24,6 +24,13 @@
 //! `φ` the round-trip phase detuning. Near a resonance the detuning is
 //! `φ ≈ 2π·(λ_res − λ)/FSR`, with the free spectral range
 //! `FSR = λ² / (n_g·L)`.
+//!
+//! The amplitude `a` and the wavelength enter through separate terms:
+//! [`AddDropMrr::drive`] evaluates everything that depends on `a` once,
+//! and [`MrrDrive::at`] finishes the solve for one `sin(φ/2)`
+//! ([`AddDropMrr::half_phase_sin_ratio`]). A weight bank keeps the
+//! wavelength terms in a table, so reprogramming a GST cell costs one
+//! `drive` and a few multiply-adds per channel.
 
 use crate::units::{AreaUm2, Wavelength};
 use serde::{Deserialize, Serialize};
@@ -119,6 +126,37 @@ impl PortTransfer {
     }
 }
 
+/// A ring's transfer function with its amplitude terms evaluated
+/// ([`AddDropMrr::drive`]): what is left is the wavelength term
+/// `s = sin(φ/2)`, so one GST state is solved on many channels for a few
+/// multiply-adds each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MrrDrive {
+    /// `4·t·t·a`, the coefficient of `s²` in numerator and denominator.
+    resonant_coeff: f64,
+    /// `(1 − t·t·a)²`, the denominator on resonance.
+    on_resonance_denom: f64,
+    /// `(t − t·a)²`, the through numerator on resonance.
+    on_resonance_through: f64,
+    /// `κ²·κ²·a`, the drop numerator.
+    drop_numerator: f64,
+}
+
+impl MrrDrive {
+    /// Port transmissions at the wavelength whose half-phase sine is
+    /// `half_phase_sin` (see [`AddDropMrr::half_phase_sin_ratio`]).
+    pub fn at(&self, half_phase_sin: f64) -> PortTransfer {
+        let s = half_phase_sin;
+        let resonant_term = self.resonant_coeff * s * s;
+        let denom = self.on_resonance_denom + resonant_term;
+        let through = (self.on_resonance_through + resonant_term) / denom;
+        let drop = self.drop_numerator / denom;
+        debug_assert!((0.0..=1.0 + 1e-9).contains(&through), "through={through}");
+        debug_assert!((0.0..=1.0 + 1e-9).contains(&drop), "drop={drop}");
+        PortTransfer { through: through.min(1.0), drop: drop.min(1.0) }
+    }
+}
+
 /// An add-drop microring resonator tuned to a specific resonant wavelength.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AddDropMrr {
@@ -175,27 +213,34 @@ impl AddDropMrr {
         self.geometry.intrinsic_round_trip_amplitude() * extra_amplitude
     }
 
-    /// Port transmissions at wavelength `λ` with an intra-cavity element of
-    /// amplitude transmission `extra_amplitude` (1.0 = transparent).
-    pub fn transfer(&self, lambda: Wavelength, extra_amplitude: f64) -> PortTransfer {
+    /// `sin(φ/2)` of the round-trip phase detuning at wavelength `λ`: the
+    /// only wavelength-dependent term of [`AddDropMrr::transfer`], fixed
+    /// for a given ring and channel.
+    pub fn half_phase_sin_ratio(&self, lambda: Wavelength) -> f64 {
+        (self.phase_detuning_rad(lambda) / 2.0).sin()
+    }
+
+    /// The amplitude-only terms of the transfer function for an
+    /// intra-cavity element of amplitude transmission `extra_amplitude`
+    /// (1.0 = transparent), fixed for a given GST state.
+    pub fn drive(&self, extra_amplitude: f64) -> MrrDrive {
         let t = self.geometry.self_coupling;
         let a = self.round_trip_amplitude(extra_amplitude);
         let kappa_sq = 1.0 - t * t;
-        let phi = self.phase_detuning_rad(lambda);
-        let s = (phi / 2.0).sin();
-        let resonant_term = 4.0 * t * t * a * s * s;
-        let denom = {
-            let d = 1.0 - t * t * a;
-            d * d + resonant_term
-        };
-        let through = {
-            let n = t - t * a;
-            (n * n + resonant_term) / denom
-        };
-        let drop = kappa_sq * kappa_sq * a / denom;
-        debug_assert!((0.0..=1.0 + 1e-9).contains(&through), "through={through}");
-        debug_assert!((0.0..=1.0 + 1e-9).contains(&drop), "drop={drop}");
-        PortTransfer { through: through.min(1.0), drop: drop.min(1.0) }
+        let d = 1.0 - t * t * a;
+        let n = t - t * a;
+        MrrDrive {
+            resonant_coeff: 4.0 * t * t * a,
+            on_resonance_denom: d * d,
+            on_resonance_through: n * n,
+            drop_numerator: kappa_sq * kappa_sq * a,
+        }
+    }
+
+    /// Port transmissions at wavelength `λ` with an intra-cavity element of
+    /// amplitude transmission `extra_amplitude` (1.0 = transparent).
+    pub fn transfer(&self, lambda: Wavelength, extra_amplitude: f64) -> PortTransfer {
+        self.drive(extra_amplitude).at(self.half_phase_sin_ratio(lambda))
     }
 
     /// Port transmissions exactly on resonance.
