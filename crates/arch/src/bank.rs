@@ -39,7 +39,6 @@ use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
 use trident_pcm::stat::{seeded_gaussian, DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
 use trident_pcm::weight::{PcmMrr, WeightLut};
 use trident_pcm::PcmError;
-use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry};
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
 use trident_photonics::wdm::WdmGrid;
@@ -123,7 +122,6 @@ pub struct WeightBank {
     stale_rows: Vec<bool>,
     /// Whether any row may be stale — the one branch a clean read pays.
     stale: bool,
-    energy: EnergyLedger,
     program_events: u64,
     /// The bank's single simulated-deployment-time source: both the
     /// deterministic relaxation law and the statistical drift model read
@@ -236,7 +234,6 @@ impl WeightBank {
             stale_slots: vec![true; rows * cols],
             stale_rows: vec![true; rows],
             stale: true,
-            energy: EnergyLedger::new(),
             program_events: 0,
             clock: DegradationClock::new(),
             stat: None,
@@ -393,7 +390,6 @@ impl WeightBank {
         }
         let time = if spent.value() > 0.0 {
             self.program_events += 1;
-            self.energy.charge("gst write", spent);
             self.rings[0].cell().params().write_time
         } else {
             Nanoseconds(0.0)
@@ -495,9 +491,6 @@ impl WeightBank {
         }
         let time = if changed {
             self.program_events += 1;
-            if report.energy.value() > 0.0 {
-                self.energy.charge("gst write", report.energy);
-            }
             report.time
         } else {
             Nanoseconds(0.0)
@@ -730,9 +723,8 @@ impl WeightBank {
     /// One drift-calibration pass: read back the bank's reference column
     /// (one probe per row), infer the youngest cohort's decay from its
     /// characterized floor exponent, and set the global compensation
-    /// gain to the reciprocal. The optical probe energy is billed to the
-    /// `"drift calibration"` ledger entry and the obs counters; returns
-    /// the energy spent. A no-op returning zero when the statistical
+    /// gain to the reciprocal. The optical probe energy is counted by the
+    /// obs counters and returned to the caller. A no-op returning zero when the statistical
     /// layer is off.
     pub fn calibrate_compensation(&mut self) -> EnergyPj {
         let now = self.clock.now();
@@ -742,7 +734,6 @@ impl WeightBank {
         let column = stat.params.reference_column(read_energy);
         stat.gain = column.compensation_gain_at(now - stat.ref_prog_at);
         let spent = column.readout_energy(rows);
-        self.energy.charge("drift calibration", spent);
         if obs::enabled() {
             obs::add(obs::Counter::CompensationPasses, 1);
             obs::add_pj(obs::Counter::CompensationFj, spent.value());
@@ -951,19 +942,9 @@ impl WeightBank {
         out
     }
 
-    /// Total optical energy delivered to the bank's GST cells so far.
-    pub fn write_energy(&self) -> EnergyPj {
-        self.energy.total()
-    }
-
     /// Number of programming events (parallel write cycles).
     pub fn program_events(&self) -> u64 {
         self.program_events
-    }
-
-    /// Total individual ring writes so far.
-    pub fn ring_writes(&self) -> u64 {
-        self.rings.iter().map(PcmMrr::write_count).sum()
     }
 
     /// The most-written ring's write count (wear-leveling telemetry: the
@@ -992,9 +973,9 @@ mod tests {
         WeightBank::new(4, 4, GstParameters::default())
     }
 
-    fn program(bank: &mut WeightBank, w: &[[f64; 4]; 4]) {
+    fn program(bank: &mut WeightBank, w: &[[f64; 4]; 4]) -> EnergyPj {
         let rows: Vec<&[f64]> = w.iter().map(|r| r.as_slice()).collect();
-        bank.program(&rows);
+        bank.program(&rows).0
     }
 
     #[test]
@@ -1060,11 +1041,9 @@ mod tests {
     fn programming_costs_energy_once() {
         let mut b = bank4();
         let w = [[0.5; 4]; 4];
-        program(&mut b, &w);
-        let first = b.write_energy();
-        assert!(first.value() > 0.0);
-        program(&mut b, &w);
-        assert_eq!(b.write_energy(), first, "identical reprogram is free (non-volatile)");
+        assert!(program(&mut b, &w).value() > 0.0);
+        let again = program(&mut b, &w);
+        assert_eq!(again, EnergyPj::ZERO, "identical reprogram is free (non-volatile)");
         assert_eq!(b.program_events(), 1);
     }
 

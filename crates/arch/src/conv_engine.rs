@@ -326,7 +326,7 @@ impl PhotonicCnn {
     }
 
     /// Heap-growth events on the forward hot path since construction
-    /// (see [`ConvScratch`]). Zero across a window of warm forwards is
+    /// (see `ConvScratch`). Zero across a window of warm forwards is
     /// the zero-allocation claim.
     pub fn hot_path_allocs(&self) -> u64 {
         self.scratch.heap_allocs

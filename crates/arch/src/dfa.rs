@@ -18,6 +18,7 @@
 //! tests below.
 
 use crate::engine::PhotonicMlp;
+use crate::error::ArchError;
 use crate::tiled::{self, TileSeed, TiledMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,7 +80,7 @@ impl DfaFeedback {
 
 /// One DFA training step on `engine` using `feedback`. Returns the loss.
 ///
-/// Identical to [`PhotonicMlp::train_sample`] except the gradient-vector
+/// Identical to [`PhotonicMlp::try_train_sample`] except the gradient-vector
 /// phase: each hidden layer's error arrives via its fixed feedback bank
 /// (no `Wᵀ` reprogramming sweeps).
 pub fn train_sample_dfa(
@@ -88,8 +89,8 @@ pub fn train_sample_dfa(
     x: &[f64],
     label: usize,
     learning_rate: f64,
-) -> f64 {
-    engine.train_sample_with_feedback(x, label, learning_rate, &mut |k, error| {
+) -> Result<f64, ArchError> {
+    engine.try_train_sample_with_feedback(x, label, learning_rate, &mut |k, error| {
         feedback.project(k, error)
     })
 }
@@ -102,16 +103,16 @@ pub fn train_dfa(
     labels: &[usize],
     learning_rate: f64,
     epochs: usize,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, ArchError> {
     let mut history = Vec::with_capacity(epochs);
     for _ in 0..epochs {
         let mut total = 0.0;
         for (x, &label) in xs.iter().zip(labels) {
-            total += train_sample_dfa(engine, feedback, x, label, learning_rate);
+            total += train_sample_dfa(engine, feedback, x, label, learning_rate)?;
         }
         history.push(total / xs.len() as f64);
     }
-    history
+    Ok(history)
 }
 
 #[cfg(test)]
@@ -129,7 +130,7 @@ mod tests {
 
     #[test]
     fn projection_matches_matrix_math() {
-        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8);
+        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8).unwrap();
         let mut fb = DfaFeedback::for_engine(&engine, 99);
         assert_eq!(fb.layer_count(), 1);
         let e = vec![0.5, -0.25, 0.75, -1.0];
@@ -147,7 +148,7 @@ mod tests {
 
     #[test]
     fn feedback_banks_are_programmed_once() {
-        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8);
+        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8).unwrap();
         let mut fb = DfaFeedback::for_engine(&engine, 99);
         let before = fb.programming_energy();
         assert!(before.value() > 0.0);
@@ -161,14 +162,14 @@ mod tests {
     #[test]
     fn dfa_learns_the_digit_task() {
         let (xs, labels) = digit_data(3);
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
+        let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8).unwrap();
         let mut fb = DfaFeedback::for_engine(&engine, 41);
-        let history = train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 10);
+        let history = train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 10).unwrap();
         assert!(
             history.last().unwrap() < history.first().unwrap(),
             "DFA loss should fall: {history:?}"
         );
-        let acc = engine.accuracy(&xs, &labels);
+        let acc = engine.accuracy(&xs, &labels).unwrap();
         assert!(acc > 0.5, "DFA accuracy {acc} should beat chance decisively");
     }
 
@@ -177,13 +178,13 @@ mod tests {
         // §VI's point: DFA is the weaker signal. With identical budgets,
         // true backpropagation should do at least as well.
         let (xs, labels) = digit_data(3);
-        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
-        let bp_outcome = bp.train(&xs, &labels, 0.1, 10);
+        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8).unwrap();
+        let bp_outcome = bp.try_train(&xs, &labels, 0.1, 10).unwrap();
 
-        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
+        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8).unwrap();
         let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
-        train_dfa(&mut dfa_engine, &mut fb, &xs, &labels, 0.3, 10);
-        let dfa_acc = dfa_engine.accuracy(&xs, &labels);
+        train_dfa(&mut dfa_engine, &mut fb, &xs, &labels, 0.3, 10).unwrap();
+        let dfa_acc = dfa_engine.accuracy(&xs, &labels).unwrap();
 
         assert!(
             bp_outcome.final_accuracy >= dfa_acc - 0.05,

@@ -2,7 +2,7 @@
 //!
 //! One PE is allocated per 16×16 weight tile (the paper assigns "one PE to
 //! each layer" for networks that fit; tiling generalises that to arbitrary
-//! layer sizes — see [`crate::tiled`]). Inference keeps weights
+//! layer sizes — see `crate::tiled`). Inference keeps weights
 //! stationary; training follows the paper's per-sample schedule:
 //!
 //! 1. **forward** — per layer: optical MVM tiles, electronic partial-sum
@@ -199,22 +199,22 @@ impl PhotonicMlp {
     /// Build a photonic MLP with layer widths `dims` (e.g. `[64, 16, 10]`)
     /// on 16×16 PEs, Xavier-initialised from `seed`. `noise_seed` enables
     /// receiver noise; `weight_bits` sets the quantization the tuning
-    /// technology supports.
-    pub fn new(dims: &[usize], seed: u64, noise_seed: Option<u64>, weight_bits: u8) -> Self {
-        Self::with_options(dims, EngineOptions { seed, noise_seed, weight_bits, ..Default::default() })
+    /// technology supports. Positional shorthand for
+    /// [`PhotonicMlp::try_with_options`].
+    pub fn new(
+        dims: &[usize],
+        seed: u64,
+        noise_seed: Option<u64>,
+        weight_bits: u8,
+    ) -> Result<Self, ArchError> {
+        let opts = EngineOptions { seed, noise_seed, weight_bits, ..Default::default() };
+        Self::try_with_options(dims, opts)
     }
 
     /// Build with full [`EngineOptions`] (fabrication variation etc.).
-    ///
-    /// # Panics
-    /// Panics if the verified initial programming pass hits an
-    /// unrecoverable device error; [`PhotonicMlp::try_with_options`] is
-    /// the typed-error form.
-    pub fn with_options(dims: &[usize], opts: EngineOptions) -> Self {
-        Self::try_with_options(dims, opts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::with_options`].
+    /// Fewer than two layer widths, a weight resolution outside `2..=8`
+    /// bits, or a device error in the initial programming pass surface as
+    /// [`ArchError`]s.
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
         let EngineOptions {
             seed,
@@ -224,8 +224,20 @@ impl PhotonicMlp {
             variation_seed,
             stat,
         } = opts;
-        assert!(dims.len() >= 2, "need at least input and output widths");
-        assert!((2..=8).contains(&weight_bits), "weight bits must be 2..=8");
+        if dims.len() < 2 {
+            return Err(ArchError::InvalidParameter {
+                name: "layer widths",
+                value: dims.len(),
+                expected: "at least 2",
+            });
+        }
+        if !(2..=8).contains(&weight_bits) {
+            return Err(ArchError::InvalidParameter {
+                name: "weight bits",
+                value: usize::from(weight_bits),
+                expected: "2..=8",
+            });
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut weights = Vec::new();
         let mut layers = Vec::new();
@@ -296,16 +308,8 @@ impl PhotonicMlp {
         &self.weights[k]
     }
 
-    /// Overwrite layer `k`'s master weights and reprogram the banks.
-    ///
-    /// # Panics
-    /// Panics on a size mismatch or a bad layer index;
-    /// [`PhotonicMlp::try_set_layer_weights`] is the typed-error form.
-    pub fn set_layer_weights(&mut self, k: usize, w: &[f64]) {
-        self.try_set_layer_weights(k, w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::set_layer_weights`].
+    /// Overwrite layer `k`'s master weights and reprogram the banks. A
+    /// size mismatch or a bad layer index is a typed error.
     pub fn try_set_layer_weights(&mut self, k: usize, w: &[f64]) -> Result<(), ArchError> {
         if k >= self.layer_count() {
             return Err(ArchError::LayerOutOfRange { layer: k, layers: self.layer_count() });
@@ -340,18 +344,6 @@ impl PhotonicMlp {
             self.try_set_layer_weights(k, w)?;
         }
         Ok(())
-    }
-
-    /// Fork an independent replica of this engine: a fresh chip built
-    /// with `opts` (its own fabrication variation, noise streams, fault
-    /// state, energy and elapsed-time ledgers) carrying this engine's
-    /// current master weights. The replica shares **no** state with the
-    /// parent — the ownership model a serving fleet needs, where every
-    /// replica has its own laser/thermal budget and wear trajectory.
-    pub fn try_fork_replica(&self, opts: EngineOptions) -> Result<Self, ArchError> {
-        let mut replica = Self::try_with_options(&self.dims, opts)?;
-        replica.try_deploy_weights(&self.weights)?;
-        Ok(replica)
     }
 
     /// Inject a sampled fault population into every PE of the engine and
@@ -419,10 +411,9 @@ impl PhotonicMlp {
 
     /// Run one drift-calibration pass on every bank (one reference-column
     /// read each), updating the global compensation gains. The probe
-    /// energy lands in each bank's `"drift calibration"` ledger entry (so
-    /// [`PhotonicMlp::total_energy`] and the obs counters both see it);
-    /// the total is returned. A no-op returning zero without the
-    /// statistical layer.
+    /// energy is returned to the caller and counted by the obs counters;
+    /// it is not in [`PhotonicMlp::total_energy`] (DESIGN.md §5a). A no-op
+    /// returning zero without the statistical layer.
     pub fn calibrate_drift_compensation(&mut self) -> EnergyPj {
         let _span = obs::span("engine.drift_calibration");
         tiled::calibrate(&mut self.layers)
@@ -448,12 +439,6 @@ impl PhotonicMlp {
     /// Whether programming runs through the fault-tolerant verified path.
     pub fn fault_tolerant_writes(&self) -> bool {
         self.fault_tolerant_writes
-    }
-
-    /// Opt into (or out of) closed-loop program-and-verify writes without
-    /// injecting any faults.
-    pub fn set_fault_tolerant_writes(&mut self, enabled: bool) {
-        self.fault_tolerant_writes = enabled;
     }
 
     /// Writes rejected by stuck cells or failed by verify, summed over
@@ -486,16 +471,8 @@ impl PhotonicMlp {
     }
 
     /// Forward one sample photonically. Input entries must lie in `[0, 1]`
-    /// (image-like data). Returns the output logits.
-    ///
-    /// # Panics
-    /// Panics on an input-width mismatch; [`PhotonicMlp::try_forward`] is
-    /// the typed-error form.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        self.try_forward(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::forward`].
+    /// (image-like data). Returns the output logits; an input-width
+    /// mismatch is a typed error.
     pub fn try_forward(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
         self.try_forward_stage(x, true)
     }
@@ -671,60 +648,40 @@ impl PhotonicMlp {
     }
 
     /// Heap-growth events on the forward hot path since construction
-    /// (see [`ForwardScratch`]). Zero growth across a window of warm
+    /// (see `ForwardScratch`). Zero growth across a window of warm
     /// forwards is the zero-allocation claim `ablation_serve` checks.
     pub fn hot_path_allocs(&self) -> u64 {
         self.scratch.heap_allocs
     }
 
-    /// Predicted class for one sample.
-    ///
-    /// # Panics
-    /// Panics on an input-width mismatch; [`PhotonicMlp::try_predict`] is
-    /// the typed-error form.
-    pub fn predict(&mut self, x: &[f64]) -> usize {
-        self.try_predict(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::predict`]. NaN-safe: logits are
-    /// ranked with a total order, so a pathological output can never
-    /// crash the classifier.
+    /// Predicted class for one sample. NaN-safe: logits are ranked with a
+    /// total order, so a pathological output can never crash the
+    /// classifier.
     pub fn try_predict(&mut self, x: &[f64]) -> Result<usize, ArchError> {
         Ok(argmax(&self.try_forward(x)?))
     }
 
     /// Accuracy over a set of samples.
-    pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> f64 {
+    pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> Result<f64, ArchError> {
         let mut correct = 0;
         for (x, &label) in xs.iter().zip(labels) {
-            if self.predict(x) == label {
+            if self.try_predict(x)? == label {
                 correct += 1;
             }
         }
-        f64::from(correct) / count(labels.len())
+        Ok(f64::from(correct) / count(labels.len()))
     }
 
     /// One in-situ training step on a single sample (the paper's
-    /// alternating forward/backward schedule). Returns the sample loss.
-    ///
-    /// # Panics
-    /// Panics on bad input width or label;
-    /// [`PhotonicMlp::try_train_sample`] is the typed-error form.
-    pub fn train_sample(&mut self, x: &[f64], label: usize, learning_rate: f64) -> f64 {
-        self.try_train_sample(x, label, learning_rate).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train_sample`].
+    /// alternating forward/backward schedule). Returns the sample loss; a
+    /// bad input width or label is a typed error.
     pub fn try_train_sample(
         &mut self,
         x: &[f64],
         label: usize,
         learning_rate: f64,
     ) -> Result<f64, ArchError> {
-        let classes = self.dims.last().copied().unwrap_or(0);
-        if label >= classes {
-            return Err(ArchError::LabelOutOfRange { label, classes });
-        }
+        self.check_labels(&[label])?;
         let _span = obs::span("engine.train_sample");
         let logits = self.try_forward(x)?;
         let (loss, mut delta) = softmax_grad(&logits, label);
@@ -751,23 +708,6 @@ impl PhotonicMlp {
     /// The projection `project(k, e)` must return `B_k · e` for hidden
     /// layer `k`; the Hadamard with the latched `f'(h_k)` happens here on
     /// the layer's own TIAs.
-    ///
-    /// # Panics
-    /// Panics on bad input width or label;
-    /// [`PhotonicMlp::try_train_sample_with_feedback`] is the typed-error
-    /// form.
-    pub fn train_sample_with_feedback(
-        &mut self,
-        x: &[f64],
-        label: usize,
-        learning_rate: f64,
-        project: &mut dyn FnMut(usize, &[f64]) -> Vec<f64>,
-    ) -> f64 {
-        self.try_train_sample_with_feedback(x, label, learning_rate, project)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train_sample_with_feedback`].
     pub fn try_train_sample_with_feedback(
         &mut self,
         x: &[f64],
@@ -775,10 +715,7 @@ impl PhotonicMlp {
         learning_rate: f64,
         project: &mut dyn FnMut(usize, &[f64]) -> Vec<f64>,
     ) -> Result<f64, ArchError> {
-        let classes = self.dims.last().copied().unwrap_or(0);
-        if label >= classes {
-            return Err(ArchError::LabelOutOfRange { label, classes });
-        }
+        self.check_labels(&[label])?;
         let logits = self.try_forward(x)?;
         let (loss, error) = softmax_grad(&logits, label);
         let layer_count = self.layer_count();
@@ -803,22 +740,9 @@ impl PhotonicMlp {
     /// same one-bit-per-position FIFO the convolutional engine uses), and
     /// the per-sample `y` outer-product programming remains — it cannot
     /// amortize because every sample's activations differ.
-    /// # Panics
-    /// Panics on mismatched inputs/labels or a device error;
-    /// [`PhotonicMlp::try_train_batched`] is the typed-error form.
-    pub fn train_batched(
-        &mut self,
-        xs: &[Vec<f64>],
-        labels: &[usize],
-        learning_rate: f64,
-        epochs: usize,
-        batch_size: usize,
-    ) -> TrainingOutcome {
-        self.try_train_batched(xs, labels, learning_rate, epochs, batch_size)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train_batched`].
+    ///
+    /// Mismatched inputs and labels, a label outside the class range, a
+    /// zero batch size and device errors are typed errors.
     pub fn try_train_batched(
         &mut self,
         xs: &[Vec<f64>],
@@ -830,7 +754,14 @@ impl PhotonicMlp {
         if xs.len() != labels.len() {
             return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
         }
-        assert!(batch_size >= 1);
+        if batch_size == 0 {
+            return Err(ArchError::InvalidParameter {
+                name: "batch size",
+                value: 0,
+                expected: "at least 1",
+            });
+        }
+        self.check_labels(labels)?;
         let _span = obs::span("engine.train_batched");
         let layer_count = self.layer_count();
         let (threshold, slope) = self.activation();
@@ -899,7 +830,7 @@ impl PhotonicMlp {
             }
             loss_history.push(epoch_loss / xs.len() as f64);
         }
-        let final_accuracy = self.accuracy(xs, labels);
+        let final_accuracy = self.accuracy(xs, labels)?;
         Ok(TrainingOutcome {
             loss_history,
             final_accuracy,
@@ -907,6 +838,15 @@ impl PhotonicMlp {
             programming_energy: self.programming_energy(),
             elapsed: self.total_elapsed(),
         })
+    }
+
+    /// Reject any label outside the output layer's class range.
+    fn check_labels(&self, labels: &[usize]) -> Result<(), ArchError> {
+        let classes = self.dims.last().copied().unwrap_or(0);
+        match labels.iter().find(|&&label| label >= classes) {
+            Some(&label) => Err(ArchError::LabelOutOfRange { label, classes }),
+            None => Ok(()),
+        }
     }
 
     /// Eq. 1: `W ← W − β δW`, clipped to the photonic range, quantized to
@@ -968,21 +908,7 @@ impl PhotonicMlp {
     }
 
     /// Train for `epochs` over a dataset, evaluating on the same set.
-    ///
-    /// # Panics
-    /// Panics on mismatched inputs/labels or a device error;
-    /// [`PhotonicMlp::try_train`] is the typed-error form.
-    pub fn train(
-        &mut self,
-        xs: &[Vec<f64>],
-        labels: &[usize],
-        learning_rate: f64,
-        epochs: usize,
-    ) -> TrainingOutcome {
-        self.try_train(xs, labels, learning_rate, epochs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train`].
+    /// Mismatched inputs/labels and device errors are typed errors.
     pub fn try_train(
         &mut self,
         xs: &[Vec<f64>],
@@ -1001,7 +927,7 @@ impl PhotonicMlp {
             }
             loss_history.push(total / xs.len() as f64);
         }
-        let final_accuracy = self.accuracy(xs, labels);
+        let final_accuracy = self.accuracy(xs, labels)?;
         Ok(TrainingOutcome {
             loss_history,
             final_accuracy,
@@ -1090,9 +1016,9 @@ mod tests {
 
     #[test]
     fn photonic_forward_matches_float_reference() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 42, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 6, 3], 42, None, 8).unwrap();
         let x: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
-        let photonic = engine.forward(&x);
+        let photonic = engine.try_forward(&x).unwrap();
         let reference = engine.digital_forward(&x);
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
@@ -1106,10 +1032,10 @@ mod tests {
     fn tiled_layer_matches_reference() {
         // 40 inputs forces column tiling (3 tiles of 16). Seed pinned
         // against the vendored RNG stream with 2× margin on the bound.
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
+        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8).unwrap();
         assert!(engine.pe_count() > 3 * 2, "tiling must allocate PEs");
         let x: Vec<f64> = (0..40).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
-        let photonic = engine.forward(&x);
+        let photonic = engine.try_forward(&x).unwrap();
         let reference = engine.digital_forward(&x);
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
@@ -1121,9 +1047,9 @@ mod tests {
 
     #[test]
     fn gradient_vector_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[6, 5, 3], 3, None, 8);
+        let mut engine = PhotonicMlp::new(&[6, 5, 3], 3, None, 8).unwrap();
         let x = [0.2, 0.9, 0.4, 0.1, 0.7, 0.5];
-        engine.forward(&x);
+        engine.try_forward(&x).unwrap();
         let delta = vec![0.3, -0.7, 0.2];
         let photonic = engine.gradient_vector_layer(1, &delta).expect("valid layer");
         // Math: (W1ᵀ δ) ⊙ f'(h0).
@@ -1148,9 +1074,9 @@ mod tests {
 
     #[test]
     fn outer_product_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[5, 4, 2], 5, None, 8);
+        let mut engine = PhotonicMlp::new(&[5, 4, 2], 5, None, 8).unwrap();
         let x = [0.8, 0.1, 0.6, 0.3, 0.9];
-        engine.forward(&x);
+        engine.try_forward(&x).unwrap();
         let delta = vec![0.5, -1.0];
         let grad = engine.outer_product_layer(1, &delta);
         let y = engine.cached_inputs[1].clone();
@@ -1170,7 +1096,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_insitu() {
-        let mut engine = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 8, 3], 11, None, 8).unwrap();
         // Three linearly separable prototype inputs.
         let xs: Vec<Vec<f64>> = vec![
             vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -1178,7 +1104,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
         ];
         let labels = vec![0, 1, 2];
-        let outcome = engine.train(&xs, &labels, 0.4, 25);
+        let outcome = engine.try_train(&xs, &labels, 0.4, 25).unwrap();
         let first = outcome.loss_history.first().copied().unwrap();
         let last = outcome.loss_history.last().copied().unwrap();
         assert!(last < first, "loss should fall: {first} → {last}");
@@ -1193,10 +1119,10 @@ mod tests {
 
     #[test]
     fn weight_updates_are_quantized_and_clipped() {
-        let mut engine = PhotonicMlp::new(&[4, 3, 2], 2, None, 6);
+        let mut engine = PhotonicMlp::new(&[4, 3, 2], 2, None, 6).unwrap();
         let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
         let labels = vec![0];
-        engine.train(&xs, &labels, 10.0, 3); // huge lr to force clipping
+        engine.try_train(&xs, &labels, 10.0, 3).unwrap(); // huge lr to force clipping
         let step = 2.0 / ((1u32 << 6) - 2) as f64;
         for k in 0..engine.layer_count() {
             for &w in engine.layer_weights(k) {
@@ -1212,9 +1138,9 @@ mod tests {
 
     #[test]
     fn set_layer_weights_round_trips() {
-        let mut engine = PhotonicMlp::new(&[3, 2, 2], 1, None, 8);
+        let mut engine = PhotonicMlp::new(&[3, 2, 2], 1, None, 8).unwrap();
         let w = vec![0.5, -0.5, 0.25, -0.25, 0.75, -0.75];
-        engine.set_layer_weights(0, &w);
+        engine.try_set_layer_weights(0, &w).unwrap();
         for (got, want) in engine.layer_weights(0).iter().zip(&w) {
             assert!((got - want).abs() < 0.01);
         }
@@ -1230,11 +1156,11 @@ mod tests {
         ];
         let labels = vec![0usize, 1, 2, 0];
 
-        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
-        let per_sample_outcome = per_sample.train(&xs, &labels, 0.4, 12);
+        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 11, None, 8).unwrap();
+        let per_sample_outcome = per_sample.try_train(&xs, &labels, 0.4, 12).unwrap();
 
-        let mut batched = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
-        let batched_outcome = batched.train_batched(&xs, &labels, 0.4, 12, 4);
+        let mut batched = PhotonicMlp::new(&[8, 8, 3], 11, None, 8).unwrap();
+        let batched_outcome = batched.try_train_batched(&xs, &labels, 0.4, 12, 4).unwrap();
 
         assert!(
             batched_outcome.loss_history.last().unwrap()
@@ -1254,15 +1180,43 @@ mod tests {
 
     #[test]
     fn energy_grows_with_work() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 9, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 6, 3], 9, None, 8).unwrap();
         let after_init = engine.total_energy();
         let x: Vec<f64> = vec![0.5; 8];
-        engine.forward(&x);
+        engine.try_forward(&x).unwrap();
         let after_forward = engine.total_energy();
         assert!(after_forward.value() > after_init.value());
-        engine.train_sample(&x, 1, 0.1);
+        engine.try_train_sample(&x, 1, 0.1).unwrap();
         assert!(engine.total_energy().value() > after_forward.value());
         assert!(engine.total_elapsed().value() > 0.0);
+    }
+
+    #[test]
+    fn caller_errors_are_typed_not_panics() {
+        let invalid = |name, value, expected| ArchError::InvalidParameter { name, value, expected };
+        let build = |dims: &[usize], weight_bits| {
+            PhotonicMlp::try_with_options(dims, EngineOptions { weight_bits, ..Default::default() })
+                .map(drop)
+        };
+        let xs = vec![vec![0.5; 4]; 2];
+        let batched = |labels: &[usize], batch_size| {
+            PhotonicMlp::new(&[4, 3, 2], 1, None, 8)?
+                .try_train_batched(&xs, labels, 0.1, 1, batch_size)
+                .map(drop)
+        };
+        let cases = [
+            ("one layer width", build(&[4], 8), invalid("layer widths", 1, "at least 2")),
+            ("1-bit weights", build(&[4, 2], 1), invalid("weight bits", 1, "2..=8")),
+            ("zero batch size", batched(&[0, 1], 0), invalid("batch size", 0, "at least 1")),
+            (
+                "label past the classes",
+                batched(&[0, 2], 2),
+                ArchError::LabelOutOfRange { label: 2, classes: 2 },
+            ),
+        ];
+        for (case, got, want) in cases {
+            assert_eq!(got, Err(want), "{case}");
+        }
     }
 
     fn batch_inputs(n: usize, width: usize) -> Vec<Vec<f64>> {
@@ -1277,9 +1231,10 @@ mod tests {
         // call visible: the batched layer-major sweep must hand each PE
         // the exact per-sample call sequence the per-sample loop does.
         let xs = batch_inputs(4, 40);
-        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
-        let expected: Vec<Vec<f64>> = xs.iter().map(|x| sequential.forward(x)).collect();
-        let mut batched = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
+        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8).unwrap();
+        let expected: Vec<Vec<f64>> =
+            xs.iter().map(|x| sequential.try_forward(x).unwrap()).collect();
+        let mut batched = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8).unwrap();
         let got = batched.try_forward_batch(&xs, true).unwrap();
         assert_eq!(got.len(), expected.len());
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -1313,7 +1268,7 @@ mod tests {
 
     #[test]
     fn warm_engine_forwards_without_heap_allocs() {
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
+        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8).unwrap();
         let xs = batch_inputs(8, 40);
         engine.reserve_forward_scratch(xs.len());
         // First batch may still grow cold corners (e.g. an output buffer

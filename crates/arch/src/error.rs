@@ -42,6 +42,15 @@ pub enum ArchError {
         /// Weight layers in the network.
         layers: usize,
     },
+    /// A construction or training parameter outside its supported range.
+    InvalidParameter {
+        /// What the parameter is.
+        name: &'static str,
+        /// The value supplied.
+        value: usize,
+        /// The supported range.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ArchError {
@@ -59,6 +68,9 @@ impl fmt::Display for ArchError {
             }
             Self::LayerOutOfRange { layer, layers } => {
                 write!(f, "layer {layer} out of range for {layers} weight layers")
+            }
+            Self::InvalidParameter { name, value, expected } => {
+                write!(f, "{name} {value} is invalid: expected {expected}")
             }
         }
     }

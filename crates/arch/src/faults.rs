@@ -12,7 +12,7 @@
 //!
 //! * [`FaultPlan`] — a seedable description of a fault population, either
 //!   given directly as per-ring probabilities or sampled from a projected
-//!   [`EnduranceReport`](crate::endurance::EnduranceReport);
+//!   [`EnduranceReport`];
 //! * [`FaultReport`] — what [`PhotonicMlp::inject_faults`] actually
 //!   injected;
 //! * [`FaultCampaign`] — the end-to-end experiment: pretrain on a healthy
@@ -29,6 +29,7 @@
 
 use crate::endurance::EnduranceReport;
 use crate::engine::{EngineOptions, PhotonicMlp};
+use crate::error::ArchError;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -204,14 +205,14 @@ impl FaultCampaign {
         plans: &[FaultPlan],
         xs: &[Vec<f64>],
         labels: &[usize],
-    ) -> Vec<FaultCampaignRow> {
+    ) -> Result<Vec<FaultCampaignRow>, ArchError> {
         // Phase 1: pretrain once on a healthy chip.
-        let mut ideal = PhotonicMlp::with_options(
+        let mut ideal = PhotonicMlp::try_with_options(
             &self.dims,
             EngineOptions { seed: 11, ..Default::default() },
-        );
-        ideal.train(xs, labels, self.learning_rate, self.pretrain_epochs);
-        let ideal_accuracy = ideal.accuracy(xs, labels);
+        )?;
+        ideal.try_train(xs, labels, self.learning_rate, self.pretrain_epochs)?;
+        let ideal_accuracy = ideal.accuracy(xs, labels)?;
         let trained: Vec<Vec<f64>> =
             (0..ideal.layer_count()).map(|k| ideal.layer_weights(k).to_vec()).collect();
 
@@ -220,16 +221,14 @@ impl FaultCampaign {
         plans
             .par_iter()
             .map(|&plan| {
-                let sums = (0..self.trials)
+                let trials = (0..self.trials)
                     .into_par_iter()
                     .map(|trial| {
-                        let mut chip = PhotonicMlp::with_options(
+                        let mut chip = PhotonicMlp::try_with_options(
                             &self.dims,
                             EngineOptions { seed: 11, ..Default::default() },
-                        );
-                        for (k, w) in trained.iter().enumerate() {
-                            chip.set_layer_weights(k, w);
-                        }
+                        )?;
+                        chip.try_deploy_weights(&trained)?;
                         let trial_plan =
                             FaultPlan { seed: plan.seed + trial as u64, ..plan };
                         let report = chip.inject_faults(&trial_plan);
@@ -237,26 +236,24 @@ impl FaultCampaign {
                         // their frozen weights and dead rings read zero.
                         // Recovery then comes from the first verified
                         // reprogram (remap/mask) plus in-situ fine-tuning.
-                        let faulted = chip.accuracy(xs, labels);
-                        chip.train(xs, labels, self.learning_rate, self.finetune_epochs);
-                        let finetuned = chip.accuracy(xs, labels);
-                        (
+                        let faulted = chip.accuracy(xs, labels)?;
+                        chip.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
+                        let finetuned = chip.accuracy(xs, labels)?;
+                        Ok((
                             report.hard_fault_fraction(),
                             faulted,
                             finetuned,
                             chip.write_failures() as f64,
                             chip.remapped_rings() as f64,
                             chip.masked_rings() as f64,
-                        )
+                        ))
                     })
-                    .reduce(
-                        || (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                        |a, b| {
-                            (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3, a.4 + b.4, a.5 + b.5)
-                        },
-                    );
+                    .collect::<Result<Vec<_>, ArchError>>()?;
+                let sums = trials.into_iter().fold((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), |a, b| {
+                    (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3, a.4 + b.4, a.5 + b.5)
+                });
                 let n = self.trials as f64;
-                FaultCampaignRow {
+                Ok(FaultCampaignRow {
                     plan,
                     hard_fault_fraction: sums.0 / n,
                     ideal_accuracy,
@@ -266,7 +263,7 @@ impl FaultCampaign {
                     remapped: sums.4 / n,
                     masked: sums.5 / n,
                     trials: self.trials,
-                }
+                })
             })
             .collect()
     }
@@ -291,12 +288,12 @@ mod tests {
     #[test]
     fn plans_are_deterministic_in_their_seed() {
         let plan = FaultPlan::stuck_cells(0.05, 42);
-        let mut a = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
-        let mut b = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
+        let mut a = PhotonicMlp::new(&[16, 8, 4], 1, None, 8).unwrap();
+        let mut b = PhotonicMlp::new(&[16, 8, 4], 1, None, 8).unwrap();
         let ra = a.inject_faults(&plan);
         let rb = b.inject_faults(&plan);
         assert_eq!(ra, rb, "same plan + seed must inject identical faults");
-        let mut c = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
+        let mut c = PhotonicMlp::new(&[16, 8, 4], 1, None, 8).unwrap();
         let rc = c.inject_faults(&FaultPlan { seed: 43, ..plan });
         assert_ne!(
             (ra.stuck_amorphous, ra.stuck_crystalline),
@@ -331,7 +328,7 @@ mod tests {
         };
         // 6% stuck cells: a heavily worn chip. Stuck rings hold weights
         // of ±1, so the deployed matrices are visibly corrupted.
-        let rows = campaign.run(&[FaultPlan::stuck_cells(0.06, 5)], &xs, &labels);
+        let rows = campaign.run(&[FaultPlan::stuck_cells(0.06, 5)], &xs, &labels).unwrap();
         let r = &rows[0];
         assert!(r.ideal_accuracy > 0.7, "pretraining should work: {}", r.ideal_accuracy);
         assert!(r.hard_fault_fraction > 0.01, "≥1% of rings must be faulty");
@@ -363,7 +360,7 @@ mod tests {
             ..Default::default()
         };
         let plan = FaultPlan { laser_droop: 0.1, seed: 3, ..FaultPlan::default() };
-        let rows = campaign.run(&[plan], &xs, &labels);
+        let rows = campaign.run(&[plan], &xs, &labels).unwrap();
         let r = &rows[0];
         // A 10% uniform power droop rescales logits but rarely reorders
         // them; the class decision mostly survives.

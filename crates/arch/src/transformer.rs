@@ -8,7 +8,7 @@
 //! * **Static MVMs** — QKV projections, the attention output projection,
 //!   the two FFN GEMMs and the classifier/vocabulary head are programmed
 //!   once at construction and streamed per token (weight-stationary), each
-//!   on its own [`crate::tiled`] grid.
+//!   on its own `crate::tiled` grid.
 //! * **Dynamic MVMs** — the attention core runs *in memory*: each
 //!   token's key row and value column are programmed into per-head PCM
 //!   banks at decode time, after which the score MVM (`K·q`) and the

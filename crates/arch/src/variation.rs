@@ -16,6 +16,7 @@
 //! any `TRIDENT_THREADS` setting (DESIGN.md §11).
 
 use crate::engine::{EngineOptions, PhotonicMlp};
+use crate::error::ArchError;
 use crate::training::DualAdaptiveTrainer;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -95,14 +96,14 @@ impl VariationStudy {
         sigmas_nm: &[f64],
         xs: &[Vec<f64>],
         labels: &[usize],
-    ) -> Vec<VariationRow> {
+    ) -> Result<Vec<VariationRow>, ArchError> {
         // Phase 1: "digital" training on ideal hardware.
-        let mut ideal = PhotonicMlp::with_options(
+        let mut ideal = PhotonicMlp::try_with_options(
             &self.dims,
             EngineOptions { seed: 11, ..Default::default() },
-        );
-        ideal.train(xs, labels, self.learning_rate, self.pretrain_epochs);
-        let ideal_accuracy = ideal.accuracy(xs, labels);
+        )?;
+        ideal.try_train(xs, labels, self.learning_rate, self.pretrain_epochs)?;
+        let ideal_accuracy = ideal.accuracy(xs, labels)?;
         let trained: Vec<Vec<f64>> =
             (0..ideal.layer_count()).map(|k| ideal.layer_weights(k).to_vec()).collect();
 
@@ -111,10 +112,10 @@ impl VariationStudy {
         sigmas_nm
             .par_iter()
             .map(|&sigma_nm| {
-                let (deployed_sum, finetuned_sum) = (0..self.trials)
+                let trials = (0..self.trials)
                     .into_par_iter()
                     .map(|trial| {
-                        let mut chip = PhotonicMlp::with_options(
+                        let mut chip = PhotonicMlp::try_with_options(
                             &self.dims,
                             EngineOptions {
                                 seed: 11,
@@ -125,23 +126,23 @@ impl VariationStudy {
                                 ),
                                 ..Default::default()
                             },
-                        );
-                        for (k, w) in trained.iter().enumerate() {
-                            chip.set_layer_weights(k, w);
-                        }
-                        let deployed = chip.accuracy(xs, labels);
-                        chip.train(xs, labels, self.learning_rate, self.finetune_epochs);
-                        let finetuned = chip.accuracy(xs, labels);
-                        (deployed, finetuned)
+                        )?;
+                        chip.try_deploy_weights(&trained)?;
+                        let deployed = chip.accuracy(xs, labels)?;
+                        chip.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
+                        let finetuned = chip.accuracy(xs, labels)?;
+                        Ok((deployed, finetuned))
                     })
-                    .reduce(|| (0.0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
-                VariationRow {
+                    .collect::<Result<Vec<_>, ArchError>>()?;
+                let (deployed_sum, finetuned_sum) =
+                    trials.into_iter().fold((0.0, 0.0), |a, b| (a.0 + b.0, a.1 + b.1));
+                Ok(VariationRow {
                     sigma_nm,
                     ideal_accuracy,
                     deployed_accuracy: deployed_sum / self.trials as f64,
                     finetuned_accuracy: finetuned_sum / self.trials as f64,
                     trials: self.trials,
-                }
+                })
             })
             .collect()
     }
@@ -222,13 +223,18 @@ impl Default for DriftStudy {
 impl DriftStudy {
     /// Run the study over the given deployment ages (hours since
     /// programming) on a labelled dataset.
-    pub fn run(&self, hour_points: &[f64], xs: &[Vec<f64>], labels: &[usize]) -> Vec<DriftRow> {
+    pub fn run(
+        &self,
+        hour_points: &[f64],
+        xs: &[Vec<f64>],
+        labels: &[usize],
+    ) -> Result<Vec<DriftRow>, ArchError> {
         // Phase 1: "digital" training on ideal, noise-free hardware.
-        let mut ideal = PhotonicMlp::with_options(
+        let mut ideal = PhotonicMlp::try_with_options(
             &self.dims,
             EngineOptions { seed: 11, ..Default::default() },
-        );
-        ideal.train(xs, labels, self.learning_rate, self.pretrain_epochs);
+        )?;
+        ideal.try_train(xs, labels, self.learning_rate, self.pretrain_epochs)?;
         let trained: Vec<Vec<f64>> =
             (0..ideal.layer_count()).map(|k| ideal.layer_weights(k).to_vec()).collect();
 
@@ -237,46 +243,44 @@ impl DriftStudy {
         hour_points
             .par_iter()
             .map(|&hours| {
-                let sums = (0..self.trials)
+                let trials = (0..self.trials)
                     .into_par_iter()
                     .map(|trial| {
                         let stat = StatParams {
                             seed: trial_identity(self.stat.seed, trial as u64),
                             ..self.stat
                         };
-                        let mut chip = PhotonicMlp::with_options(
+                        let mut chip = PhotonicMlp::try_with_options(
                             &self.dims,
                             EngineOptions { seed: 11, stat: Some(stat), ..Default::default() },
-                        );
-                        for (k, w) in trained.iter().enumerate() {
-                            chip.set_layer_weights(k, w);
-                        }
-                        let baseline = chip.accuracy(xs, labels);
+                        )?;
+                        chip.try_deploy_weights(&trained)?;
+                        let baseline = chip.accuracy(xs, labels)?;
                         chip.advance_deployment(Hours(hours));
-                        let uncompensated = chip.accuracy(xs, labels);
+                        let uncompensated = chip.accuracy(xs, labels)?;
                         chip.calibrate_drift_compensation();
-                        let compensated = chip.accuracy(xs, labels);
+                        let compensated = chip.accuracy(xs, labels)?;
                         let trainer = DualAdaptiveTrainer {
                             finetune_epochs: self.finetune_epochs,
                             learning_rate: self.learning_rate,
                             ..Default::default()
                         };
-                        let outcome = trainer.adapt(&mut chip, xs, labels);
-                        (baseline, uncompensated, compensated, outcome.adapted_accuracy)
+                        let outcome = trainer.adapt(&mut chip, xs, labels)?;
+                        Ok((baseline, uncompensated, compensated, outcome.adapted_accuracy))
                     })
-                    .reduce(
-                        || (0.0, 0.0, 0.0, 0.0),
-                        |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3),
-                    );
+                    .collect::<Result<Vec<_>, ArchError>>()?;
+                let sums = trials.into_iter().fold((0.0, 0.0, 0.0, 0.0), |a, b| {
+                    (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
+                });
                 let n = self.trials as f64;
-                DriftRow {
+                Ok(DriftRow {
                     hours,
                     baseline_accuracy: sums.0 / n,
                     uncompensated_accuracy: sums.1 / n,
                     compensated_accuracy: sums.2 / n,
                     adaptive_accuracy: sums.3 / n,
                     trials: self.trials,
-                }
+                })
             })
             .collect()
     }
@@ -304,7 +308,7 @@ mod tests {
             trials: 1,
             ..Default::default()
         };
-        let rows = study.run(&[0.0], &xs, &labels);
+        let rows = study.run(&[0.0], &xs, &labels).unwrap();
         let r = &rows[0];
         assert!(
             (r.deployed_accuracy - r.ideal_accuracy).abs() < 0.11,
@@ -327,7 +331,7 @@ mod tests {
         // kill the optics outright (at ~half a linewidth the rings detune
         // so far that no amount of reprogramming recovers — also physical,
         // and covered by the sweep binary).
-        let rows = study.run(&[0.04], &xs, &labels);
+        let rows = study.run(&[0.04], &xs, &labels).unwrap();
         let r = &rows[0];
         assert!(r.ideal_accuracy > 0.7, "pretraining should work: {}", r.ideal_accuracy);
         assert!(
@@ -348,7 +352,7 @@ mod tests {
     fn drift_degrades_and_the_dual_loop_recovers() {
         let (xs, labels) = digit_data(3);
         let study = DriftStudy { trials: 1, ..Default::default() };
-        let rows = study.run(&[720.0], &xs, &labels);
+        let rows = study.run(&[720.0], &xs, &labels).unwrap();
         let r = &rows[0];
         assert!(r.baseline_accuracy > 0.7, "fresh deployment should work: {}", r.baseline_accuracy);
         assert!(
@@ -380,8 +384,8 @@ mod tests {
             trials: 2,
             ..Default::default()
         };
-        let a = study.run(&[24.0], &xs, &labels);
-        let b = study.run(&[24.0], &xs, &labels);
+        let a = study.run(&[24.0], &xs, &labels).unwrap();
+        let b = study.run(&[24.0], &xs, &labels).unwrap();
         assert_eq!(a, b, "same seeds must reproduce the same rows bitwise");
     }
 
@@ -394,7 +398,7 @@ mod tests {
             trials: 2,
             ..Default::default()
         };
-        let rows = study.run(&[0.02, 0.15], &xs, &labels);
+        let rows = study.run(&[0.02, 0.15], &xs, &labels).unwrap();
         assert!(
             rows[0].deployed_accuracy >= rows[1].deployed_accuracy - 0.05,
             "σ=0.02 ({}) should deploy no worse than σ=0.15 ({})",

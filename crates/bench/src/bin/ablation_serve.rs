@@ -17,7 +17,13 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let per_class: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2);
     let requests: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
-    let reports = trident::experiments::ablations::serve::run(per_class, requests);
+    let reports = match trident::experiments::ablations::serve::run(per_class, requests) {
+        Ok(reports) => reports,
+        Err(e) => {
+            eprintln!("ablation_serve: {e}");
+            std::process::exit(1);
+        }
+    };
     print!("{}", trident::experiments::ablations::serve::render_reports(&reports));
     for r in &reports {
         eprintln!(

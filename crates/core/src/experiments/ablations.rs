@@ -9,11 +9,18 @@
 use crate::report::{f, TextTable};
 use trident_arch::config::TridentConfig;
 use trident_arch::engine::PhotonicMlp;
+use trident_arch::error::ArchError;
 use trident_arch::perf::TridentPerfModel;
 use trident_nn::data::synthetic_digits;
 use trident_photonics::tuning::{TuningMethod, TuningProfile};
 use trident_photonics::units::EnergyPj;
 use trident_workload::zoo;
+
+/// What a render prints where its table would be when the run behind it
+/// failed: the table's title and the typed error.
+fn failed(title: &str, e: impl std::fmt::Display) -> String {
+    format!("{title}\n  error: {e}\n")
+}
 
 /// Bit-resolution ablation.
 pub mod bits {
@@ -33,7 +40,7 @@ pub mod bits {
     /// Train the same photonic MLP on the synthetic digit task at each
     /// resolution in `bit_range`. `per_class`/`epochs` size the run
     /// (tests use small values; the binaries use larger ones).
-    pub fn run(bit_range: &[u8], per_class: usize, epochs: usize) -> Vec<Row> {
+    pub fn run(bit_range: &[u8], per_class: usize, epochs: usize) -> Result<Vec<Row>, ArchError> {
         run_with_lr(bit_range, per_class, epochs, 0.1)
     }
 
@@ -43,7 +50,7 @@ pub mod bits {
         per_class: usize,
         epochs: usize,
         learning_rate: f64,
-    ) -> Vec<Row> {
+    ) -> Result<Vec<Row>, ArchError> {
         let data = synthetic_digits(per_class, 0.05, 77);
         let xs: Vec<Vec<f64>> = (0..data.len())
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
@@ -53,24 +60,26 @@ pub mod bits {
             .map(|&bits| {
                 // Seed pinned against the vendored RNG stream (vendor/rand);
                 // chosen for a healthy initial draw at test-sized runs.
-                let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, None, bits);
-                let outcome = engine.train(&xs, &data.labels, learning_rate, epochs);
-                Row {
+                let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, None, bits)?;
+                let outcome = engine.try_train(&xs, &data.labels, learning_rate, epochs)?;
+                Ok(Row {
                     bits,
                     accuracy: outcome.final_accuracy,
                     final_loss: outcome.loss_history.last().copied().unwrap_or(f64::NAN),
-                }
+                })
             })
             .collect()
     }
 
     /// Render the sweep.
     pub fn render(per_class: usize, epochs: usize) -> String {
-        let mut t = TextTable::new(
-            "Ablation: in-situ training vs weight bit resolution",
-            &["Bits", "Final accuracy", "Final loss"],
-        );
-        for row in run(&[4, 5, 6, 7, 8], per_class, epochs) {
+        let title = "Ablation: in-situ training vs weight bit resolution";
+        let rows = match run(&[4, 5, 6, 7, 8], per_class, epochs) {
+            Ok(rows) => rows,
+            Err(e) => return failed(title, e),
+        };
+        let mut t = TextTable::new(title, &["Bits", "Final accuracy", "Final loss"]);
+        for row in rows {
             t.row(&[
                 row.bits.to_string(),
                 format!("{:.1}%", row.accuracy * 100.0),
@@ -274,22 +283,22 @@ pub mod dfa_vs_bp {
     }
 
     /// Train the same MLP with backprop and with DFA.
-    pub fn run(per_class: usize, epochs: usize) -> Vec<Row> {
+    pub fn run(per_class: usize, epochs: usize) -> Result<Vec<Row>, ArchError> {
         let data = synthetic_digits(per_class, 0.05, 31);
         let xs: Vec<Vec<f64>> = (0..data.len())
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
             .collect();
 
-        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
-        let bp_outcome = bp.train(&xs, &data.labels, 0.1, epochs);
+        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8)?;
+        let bp_outcome = bp.try_train(&xs, &data.labels, 0.1, epochs)?;
 
-        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
+        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8)?;
         let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
-        train_dfa(&mut dfa_engine, &mut fb, &xs, &data.labels, 0.3, epochs);
-        let dfa_acc = dfa_engine.accuracy(&xs, &data.labels);
+        train_dfa(&mut dfa_engine, &mut fb, &xs, &data.labels, 0.3, epochs)?;
+        let dfa_acc = dfa_engine.accuracy(&xs, &data.labels)?;
         let dfa_prog = dfa_engine.programming_energy() + fb.programming_energy();
 
-        vec![
+        Ok(vec![
             Row {
                 rule: "backpropagation (Table II)",
                 accuracy: bp_outcome.final_accuracy,
@@ -300,16 +309,19 @@ pub mod dfa_vs_bp {
                 accuracy: dfa_acc,
                 programming_uj: dfa_prog.value() / 1e6,
             },
-        ]
+        ])
     }
 
     /// Render the comparison.
     pub fn render(per_class: usize, epochs: usize) -> String {
-        let mut t = TextTable::new(
-            "Ablation: backpropagation vs direct feedback alignment",
-            &["Training rule", "Final accuracy", "GST programming (uJ)"],
-        );
-        for row in run(per_class, epochs) {
+        let title = "Ablation: backpropagation vs direct feedback alignment";
+        let rows = match run(per_class, epochs) {
+            Ok(rows) => rows,
+            Err(e) => return failed(title, e),
+        };
+        let mut t =
+            TextTable::new(title, &["Training rule", "Final accuracy", "GST programming (uJ)"]);
+        for row in rows {
             t.row(&[
                 row.rule.to_string(),
                 format!("{:.1}%", row.accuracy * 100.0),
@@ -330,7 +342,7 @@ pub mod variation {
         sigmas_nm: &[f64],
         per_class: usize,
         trials: usize,
-    ) -> Vec<trident_arch::variation::VariationRow> {
+    ) -> Result<Vec<trident_arch::variation::VariationRow>, ArchError> {
         let data = synthetic_digits(per_class, 0.05, 99);
         let xs: Vec<Vec<f64>> = (0..data.len())
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
@@ -341,11 +353,16 @@ pub mod variation {
 
     /// Render the study.
     pub fn render(per_class: usize, trials: usize) -> String {
+        let title = "Ablation: fabrication variation — deploy vs in-situ fine-tune";
+        let rows = match run(&[0.0, 0.01, 0.02, 0.04, 0.08], per_class, trials) {
+            Ok(rows) => rows,
+            Err(e) => return failed(title, e),
+        };
         let mut t = TextTable::new(
-            "Ablation: fabrication variation — deploy vs in-situ fine-tune",
+            title,
             &["sigma (nm)", "Ideal acc.", "Deployed acc.", "Fine-tuned acc.", "Recovery"],
         );
-        for row in run(&[0.0, 0.01, 0.02, 0.04, 0.08], per_class, trials) {
+        for row in rows {
             t.row(&[
                 format!("{:.3}", row.sigma_nm),
                 format!("{:.1}%", row.ideal_accuracy * 100.0),
@@ -366,7 +383,11 @@ pub mod faults {
     use trident_arch::faults::{FaultCampaign, FaultCampaignRow, FaultPlan};
 
     /// Run the inject-then-recover campaign over stuck-cell rates.
-    pub fn run(stuck_rates: &[f64], per_class: usize, trials: usize) -> Vec<FaultCampaignRow> {
+    pub fn run(
+        stuck_rates: &[f64],
+        per_class: usize,
+        trials: usize,
+    ) -> Result<Vec<FaultCampaignRow>, ArchError> {
         let data = synthetic_digits(per_class, 0.05, 99);
         let xs: Vec<Vec<f64>> = (0..data.len())
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
@@ -379,8 +400,13 @@ pub mod faults {
 
     /// Render the campaign as the accuracy-vs-fault-rate table.
     pub fn render(per_class: usize, trials: usize) -> String {
+        let title = "Ablation: stuck GST cells — raw hit vs wear-level + fine-tune recovery";
+        let rows = match run(&[0.0, 0.01, 0.03, 0.06, 0.12], per_class, trials) {
+            Ok(rows) => rows,
+            Err(e) => return failed(title, e),
+        };
         let mut t = TextTable::new(
-            "Ablation: stuck GST cells — raw hit vs wear-level + fine-tune recovery",
+            title,
             &[
                 "stuck cells",
                 "Ideal acc.",
@@ -391,7 +417,7 @@ pub mod faults {
                 "masks",
             ],
         );
-        for row in run(&[0.0, 0.01, 0.03, 0.06, 0.12], per_class, trials) {
+        for row in rows {
             t.row(&[
                 format!("{:.1}%", row.plan.hard_fault_rate() * 100.0),
                 format!("{:.1}%", row.ideal_accuracy * 100.0),
@@ -419,7 +445,11 @@ pub mod drift {
     pub const HOUR_POINTS: &[f64] = &[0.0, 24.0, 168.0, 720.0];
 
     /// Run the deploy-drift-recover study over deployment ages.
-    pub fn run(hour_points: &[f64], per_class: usize, trials: usize) -> Vec<DriftRow> {
+    pub fn run(
+        hour_points: &[f64],
+        per_class: usize,
+        trials: usize,
+    ) -> Result<Vec<DriftRow>, ArchError> {
         let data = synthetic_digits(per_class, 0.05, 99);
         let xs: Vec<Vec<f64>> = (0..data.len())
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
@@ -430,11 +460,16 @@ pub mod drift {
 
     /// Render the study as the accuracy-vs-deployment-age table.
     pub fn render(per_class: usize, trials: usize) -> String {
+        let title = "Ablation: PCM conductance drift — compensation and dual adaptive training";
+        let rows = match run(HOUR_POINTS, per_class, trials) {
+            Ok(rows) => rows,
+            Err(e) => return failed(title, e),
+        };
         let mut t = TextTable::new(
-            "Ablation: PCM conductance drift — compensation and dual adaptive training",
+            title,
             &["hours", "t=0 acc.", "Drifted acc.", "Compensated acc.", "DAT acc.", "DAT gap (pt)"],
         );
-        for row in run(HOUR_POINTS, per_class, trials) {
+        for row in rows {
             t.row(&[
                 format!("{:.0}", row.hours),
                 format!("{:.1}%", row.baseline_accuracy * 100.0),
@@ -454,7 +489,9 @@ pub mod drift {
 pub mod serve {
     use super::*;
     use trident_arch::engine::EngineOptions;
-    use trident_serve::{ArrivalProcess, ReplicaProfile, ServeConfig, ServeReport, Sharding};
+    use trident_serve::{
+        ArrivalProcess, ReplicaProfile, ServeConfig, ServeError, ServeReport, Sharding,
+    };
 
     /// Network served by every scenario — the repo's standard digit MLP
     /// (the in-situ training scheme converges well at this depth). The
@@ -462,17 +499,20 @@ pub mod serve {
     /// 2-stage layer pipeline (one weight layer per stage).
     pub const DIMS: [usize; 3] = [64, 16, 10];
 
+    /// Title of the headline serving table.
+    const TITLE: &str = "Ablation: fleet serving — dynamic batching under SLO (3 replicas)";
+
     /// Pretrain the shared model once on the synthetic digit task and
     /// return its deployable weights.
-    fn pretrain(per_class: usize) -> Vec<Vec<f64>> {
+    fn pretrain(per_class: usize) -> Result<Vec<Vec<f64>>, ArchError> {
         let data = synthetic_digits(per_class, 0.05, 42);
         let xs: Vec<Vec<f64>> = (0..data.len())
             .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
             .collect();
         let mut ideal =
-            PhotonicMlp::with_options(&DIMS, EngineOptions { seed: 11, ..Default::default() });
-        ideal.train(&xs, &data.labels, 0.1, 12);
-        ideal.snapshot_weights()
+            PhotonicMlp::try_with_options(&DIMS, EngineOptions { seed: 11, ..Default::default() })?;
+        ideal.try_train(&xs, &data.labels, 0.1, 12)?;
+        Ok(ideal.snapshot_weights())
     }
 
     /// The sample pool requests draw from.
@@ -529,8 +569,8 @@ pub mod serve {
     /// Run the three standard scenarios — Poisson and bursty arrivals
     /// over a 3-replica parallel fleet, then Poisson over a 2-stage
     /// layer pipeline — sharing one pretrained model.
-    pub fn run(per_class: usize, requests: usize) -> Vec<ServeReport> {
-        let weights = pretrain(per_class);
+    pub fn run(per_class: usize, requests: usize) -> Result<Vec<ServeReport>, ServeError> {
+        let weights = pretrain(per_class)?;
         let pool = dataset(per_class);
         let poisson = ArrivalProcess::Poisson { mean_interarrival_ns: 15_000 };
         // Bursts arrive at ~10 requests/µs — denser than the fleet's
@@ -547,7 +587,7 @@ pub mod serve {
             ("poisson/layer-pipeline", poisson, Sharding::LayerPipeline, 2),
         ]
         .into_iter()
-        .filter_map(|(name, arrivals, sharding, replicas)| {
+        .map(|(name, arrivals, sharding, replicas)| {
             trident_serve::sim::run(&scenario(
                 name,
                 arrivals,
@@ -557,7 +597,6 @@ pub mod serve {
                 pool.clone(),
                 requests,
             ))
-            .ok()
         })
         .collect()
     }
@@ -565,7 +604,10 @@ pub mod serve {
     /// Render the serving ablation: the headline latency/goodput table
     /// plus a per-replica energy/wear table.
     pub fn render(per_class: usize, requests: usize) -> String {
-        render_reports(&run(per_class, requests))
+        match run(per_class, requests) {
+            Ok(reports) => render_reports(&reports),
+            Err(e) => failed(TITLE, e),
+        }
     }
 
     /// Render already-computed reports — lets a caller that also needs
@@ -573,7 +615,7 @@ pub mod serve {
     /// run each scenario exactly once.
     pub fn render_reports(reports: &[ServeReport]) -> String {
         let mut t = TextTable::new(
-            "Ablation: fleet serving — dynamic batching under SLO (3 replicas)",
+            TITLE,
             &[
                 "scenario", "offered", "served", "shed", "p50 us", "p99 us", "p999 us",
                 "goodput rps", "SLO miss", "acc.",
@@ -624,7 +666,7 @@ mod tests {
         // identical data, initialisation and learning rate, the 8-bit
         // (GST) bank learns the digit task while the 6-bit (thermal)
         // bank's updates round away.
-        let rows = bits::run(&[6, 8], 4, 12);
+        let rows = bits::run(&[6, 8], 4, 12).unwrap();
         let six = rows.iter().find(|r| r.bits == 6).unwrap();
         let eight = rows.iter().find(|r| r.bits == 8).unwrap();
         assert!(

@@ -113,11 +113,6 @@ impl CallGraph {
             .collect()
     }
 
-    /// Number of distinct function names with at least one definition.
-    pub fn def_count(&self) -> usize {
-        self.defs.len()
-    }
-
     /// Transitive callers of `func` as `"file::fn"` strings, breadth
     /// first (direct callers before their callers), capped at `limit`.
     /// Deterministic: ties resolve in `BTreeSet` order.

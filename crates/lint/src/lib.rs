@@ -5,8 +5,11 @@
 //! safety"):
 //!
 //! 1. **no-panic** — no `unwrap`/`expect`/`panic!`-family macros in
-//!    non-test library code. Documented panic front-doors over `try_*`
-//!    APIs are exempted per function via `lint-allow.toml`.
+//!    non-test library code. Library APIs report caller and device
+//!    errors through `Result`; the two documented panics that remain
+//!    (`WeightBank::program` on out-of-range weights, `Ldsu::derivative`
+//!    on an unlatched unit) are exempted per function via
+//!    `lint-allow.toml`.
 //! 2. **no-cast** — no raw `as` numeric casts in unit-bearing modules;
 //!    integer populations enter float arithmetic through
 //!    `photonics::units::count`, float→index conversions through

@@ -158,11 +158,6 @@ impl TensorArena {
     pub fn generation(&self) -> u64 {
         self.generation
     }
-
-    /// Recycled slabs currently available.
-    pub fn free_slabs(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]

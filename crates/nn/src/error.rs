@@ -3,9 +3,8 @@
 //! Layer forward/backward passes validate their inputs and report
 //! violations as [`NnError`] values instead of panicking, so callers that
 //! drive layers with externally-derived shapes (deserialized models, the
-//! photonic mirror) can recover. The infallible `forward`/`backward`
-//! wrappers on [`crate::layers::Layer`] preserve the old fail-fast
-//! behaviour for internal code whose shapes are correct by construction.
+//! photonic mirror) can recover. The `try_*` methods are the only way to
+//! drive a [`crate::layers::Layer`] or a [`crate::network::Sequential`].
 
 use std::fmt;
 

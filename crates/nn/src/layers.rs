@@ -80,10 +80,7 @@ impl Activation {
 
 /// A trainable layer.
 ///
-/// The fallible `try_forward`/`try_backward` pair is the required core:
-/// shape violations and ordering mistakes surface as typed [`NnError`]s.
-/// The infallible `forward`/`backward` wrappers keep the ergonomic
-/// fail-fast API for code whose shapes are correct by construction.
+/// Shape violations and ordering mistakes surface as typed [`NnError`]s.
 pub trait Layer: Send {
     /// Forward pass over a batch; caches whatever backward needs.
     fn try_forward(&mut self, x: &Tensor) -> Result<Tensor, NnError>;
@@ -108,14 +105,6 @@ pub trait Layer: Send {
     fn as_any(&self) -> &dyn Any;
     /// Mutable [`Any`] access (fused dispatch needs `&mut` on the pair).
     fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Infallible forward: panics on the errors `try_forward` reports.
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.try_forward(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-    /// Infallible backward: panics on the errors `try_backward` reports.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.try_backward(grad_out).unwrap_or_else(|e| panic!("{e}"))
-    }
     /// Apply (and clear) accumulated gradients with the optimizer.
     fn update(&mut self, _opt: &Sgd) {}
     /// Human-readable layer kind.
@@ -1311,7 +1300,7 @@ mod tests {
         let w = Tensor::from_vec(&[2, 3], vec![1., 0., -1., 0.5, 0.5, 0.5]);
         let mut d = Dense::from_weights(w);
         let x = Tensor::from_vec(&[1, 3], vec![2., 4., 6.]);
-        let y = d.forward(&x);
+        let y = d.try_forward(&x).unwrap();
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[-4.0, 6.0]);
     }
@@ -1322,9 +1311,9 @@ mod tests {
         let mut d = Dense::new(3, 4, &mut rng);
         let x = Tensor::from_vec(&[2, 4], vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]);
         // Loss = sum(y); dL/dy = ones.
-        let y = d.forward(&x);
+        let y = d.try_forward(&x).unwrap();
         let ones = Tensor::full(&[2, 3], 1.0);
-        let gx = d.backward(&ones);
+        let gx = d.try_backward(&ones).unwrap();
         // Finite-difference the input gradient.
         let eps = 1e-3;
         for i in 0..x.len() {
@@ -1332,8 +1321,8 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let yp = d.forward(&xp).sum();
-            let ym = d.forward(&xm).sum();
+            let yp = d.try_forward(&xp).unwrap().sum();
+            let ym = d.try_forward(&xm).unwrap().sum();
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
                 (fd - gx.data()[i]).abs() < 1e-2,
@@ -1349,16 +1338,16 @@ mod tests {
         let mut rng = seeded_rng(8);
         let mut d = Dense::new(2, 3, &mut rng);
         let x = Tensor::from_vec(&[1, 3], vec![0.3, -0.6, 0.9]);
-        d.forward(&x);
-        d.backward(&Tensor::full(&[1, 2], 1.0));
+        d.try_forward(&x).unwrap();
+        d.try_backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         let analytic = d.grad_weights().clone();
         let eps = 1e-3;
         for i in 0..d.weights.len() {
             let orig = d.weights.data()[i];
             d.weights.data_mut()[i] = orig + eps;
-            let yp = d.forward(&x).sum();
+            let yp = d.try_forward(&x).unwrap().sum();
             d.weights.data_mut()[i] = orig - eps;
-            let ym = d.forward(&x).sum();
+            let ym = d.try_forward(&x).unwrap().sum();
             d.weights.data_mut()[i] = orig;
             let fd = (yp - ym) / (2.0 * eps);
             assert!(
@@ -1377,7 +1366,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 2, 1, 0, &mut rng);
         conv.weights = Tensor::full(&[1, 4], 1.0);
         let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
-        let y = conv.forward(&x);
+        let y = conv.try_forward(&x).unwrap();
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[12.0, 16.0, 24.0, 28.0]);
     }
@@ -1387,7 +1376,7 @@ mod tests {
         let mut rng = seeded_rng(2);
         let mut conv = Conv2d::new(4, 3, 3, 1, 1, &mut rng);
         let x = Tensor::zeros(&[2, 3, 8, 8]);
-        let y = conv.forward(&x);
+        let y = conv.try_forward(&x).unwrap();
         assert_eq!(y.shape(), &[2, 4, 8, 8]);
     }
 
@@ -1399,15 +1388,16 @@ mod tests {
             &[1, 1, 4, 4],
             (0..16).map(|v| (v as f32 - 8.0) * 0.1).collect(),
         );
-        conv.forward(&x);
-        let g = conv.backward(&Tensor::full(&[1, 2, 4, 4], 1.0));
+        conv.try_forward(&x).unwrap();
+        let g = conv.try_backward(&Tensor::full(&[1, 2, 4, 4], 1.0)).unwrap();
         let eps = 1e-2;
         for i in (0..16).step_by(3) {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fd = (conv.forward(&xp).sum() - conv.forward(&xm).sum()) / (2.0 * eps);
+            let fd = (conv.try_forward(&xp).unwrap().sum() - conv.try_forward(&xm).unwrap().sum())
+                / (2.0 * eps);
             assert!(
                 (fd - g.data()[i]).abs() < 1e-2,
                 "conv input grad mismatch at {i}: fd={fd} vs {}",
@@ -1420,9 +1410,9 @@ mod tests {
     fn maxpool_forward_and_routing_backward() {
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 5.0, 3.0, 2.0]);
         let mut pool = MaxPool2d::new(2, 2);
-        let y = pool.forward(&x);
+        let y = pool.try_forward(&x).unwrap();
         assert_eq!(y.data(), &[5.0]);
-        let gx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![2.0]));
+        let gx = pool.try_backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![2.0])).unwrap();
         assert_eq!(gx.data(), &[0.0, 2.0, 0.0, 0.0], "gradient routes to the argmax");
     }
 
@@ -1430,9 +1420,9 @@ mod tests {
     fn flatten_round_trip() {
         let x = Tensor::from_vec(&[2, 3, 1, 1], vec![1., 2., 3., 4., 5., 6.]);
         let mut f = Flatten::new();
-        let y = f.forward(&x);
+        let y = f.try_forward(&x).unwrap();
         assert_eq!(y.shape(), &[2, 3]);
-        let back = f.backward(&y);
+        let back = f.try_backward(&y).unwrap();
         assert_eq!(back.shape(), x.shape());
         assert_eq!(back.data(), x.data());
     }
@@ -1441,9 +1431,9 @@ mod tests {
     fn avgpool_forward_and_backward() {
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 3.0, 5.0, 7.0]);
         let mut pool = AvgPool2d::new(2, 2);
-        let y = pool.forward(&x);
+        let y = pool.try_forward(&x).unwrap();
         assert_eq!(y.data(), &[4.0]);
-        let gx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![4.0]));
+        let gx = pool.try_backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![4.0])).unwrap();
         assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0], "gradient spreads uniformly");
     }
 
@@ -1454,10 +1444,10 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
         );
         let mut pool = GlobalAvgPool::new();
-        let y = pool.forward(&x);
+        let y = pool.try_forward(&x).unwrap();
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[2.5, 25.0]);
-        let gx = pool.backward(&Tensor::from_vec(&[1, 2], vec![4.0, 8.0]));
+        let gx = pool.try_backward(&Tensor::from_vec(&[1, 2], vec![4.0, 8.0])).unwrap();
         assert_eq!(gx.shape(), &[1, 2, 2, 2]);
         assert_eq!(&gx.data()[..4], &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(&gx.data()[4..], &[2.0, 2.0, 2.0, 2.0]);
@@ -1467,15 +1457,16 @@ mod tests {
     fn avgpool_gradient_matches_finite_difference() {
         let x = Tensor::from_vec(&[1, 1, 4, 4], (0..16).map(|v| v as f32 * 0.1).collect());
         let mut pool = AvgPool2d::new(2, 2);
-        pool.forward(&x);
-        let g = pool.backward(&Tensor::full(&[1, 1, 2, 2], 1.0));
+        pool.try_forward(&x).unwrap();
+        let g = pool.try_backward(&Tensor::full(&[1, 1, 2, 2], 1.0)).unwrap();
         let eps = 1e-2;
         for i in 0..16 {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fd = (pool.forward(&xp).sum() - pool.forward(&xm).sum()) / (2.0 * eps);
+            let fd = (pool.try_forward(&xp).unwrap().sum() - pool.try_forward(&xm).unwrap().sum())
+                / (2.0 * eps);
             assert!((fd - g.data()[i]).abs() < 1e-3, "avgpool grad mismatch at {i}");
         }
     }
@@ -1522,21 +1513,11 @@ mod tests {
     }
 
     #[test]
-    fn try_forward_matches_infallible_forward() {
-        let mut rng = seeded_rng(12);
-        let mut d = Dense::new(2, 3, &mut rng);
-        let x = Tensor::from_vec(&[1, 3], vec![0.1, 0.2, 0.3]);
-        let fallible = d.try_forward(&x).expect("valid shape");
-        let infallible = d.forward(&x);
-        assert_eq!(fallible.data(), infallible.data());
-    }
-
-    #[test]
     fn update_applies_sgd_and_clears_grads() {
         let mut d = Dense::from_weights(Tensor::from_vec(&[1, 2], vec![0.5, -0.5]));
         let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-        d.forward(&x);
-        d.backward(&Tensor::from_vec(&[1, 1], vec![1.0]));
+        d.try_forward(&x).unwrap();
+        d.try_backward(&Tensor::from_vec(&[1, 1], vec![1.0])).unwrap();
         d.update(&Sgd::new(0.1));
         // dW = [1, 1] → W −= 0.1
         assert_eq!(d.weights.data(), &[0.4, -0.6]);

@@ -44,18 +44,8 @@ impl Sequential {
         self.layers[idx].as_ref()
     }
 
-    /// Mutable layer access.
-    pub fn layer_mut(&mut self, idx: usize) -> &mut (dyn Layer + 'static) {
-        self.layers[idx].as_mut()
-    }
-
-    /// Forward pass over a batch.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.try_forward(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible forward pass: the first layer whose shape check fails
-    /// reports a typed [`NnError`] instead of aborting.
+    /// Forward pass over a batch: the first layer whose shape check fails
+    /// reports a typed [`NnError`].
     pub fn try_forward(&mut self, x: &Tensor) -> Result<Tensor, NnError> {
         let mut h = x.clone();
         for layer in &mut self.layers {
@@ -159,12 +149,8 @@ impl Sequential {
         Ok(g)
     }
 
-    /// Backward pass from an output gradient; returns the input gradient.
-    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.try_backward(grad).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible backward pass mirroring [`Sequential::try_forward`].
+    /// Backward pass from an output gradient, mirroring
+    /// [`Sequential::try_forward`]; returns the input gradient.
     pub fn try_backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
         let mut g = grad.clone();
         for layer in self.layers.iter_mut().rev() {
@@ -181,13 +167,8 @@ impl Sequential {
     }
 
     /// One supervised step on a batch: forward, cross-entropy, backward,
-    /// update. Returns the batch loss.
-    pub fn train_step(&mut self, x: &Tensor, labels: &[usize], opt: &Sgd) -> f32 {
-        self.try_train_step(x, labels, opt).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible training step: shape violations anywhere in the stack
-    /// surface as typed errors before any parameter is touched.
+    /// update. Returns the batch loss. Shape violations anywhere in the
+    /// stack surface as typed errors before any parameter is touched.
     pub fn try_train_step(
         &mut self,
         x: &Tensor,
@@ -203,9 +184,9 @@ impl Sequential {
 
     /// Predicted class per batch row (NaN-safe argmax: a row of NaNs
     /// predicts class 0 rather than panicking).
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        let logits = self.forward(x);
-        (0..logits.shape()[0])
+    pub fn predict(&mut self, x: &Tensor) -> Result<Vec<usize>, NnError> {
+        let logits = self.try_forward(x)?;
+        Ok((0..logits.shape()[0])
             .map(|r| {
                 let row = logits.row(r);
                 row.iter()
@@ -214,14 +195,14 @@ impl Sequential {
                     .map(|(i, _)| i)
                     .unwrap_or(0)
             })
-            .collect()
+            .collect())
     }
 
     /// Classification accuracy on a labelled batch.
-    pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
-        let preds = self.predict(x);
+    pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> Result<f64, NnError> {
+        let preds = self.predict(x)?;
         let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        correct as f64 / labels.len() as f64
+        Ok(correct as f64 / labels.len() as f64)
     }
 }
 
@@ -250,7 +231,7 @@ mod tests {
     fn network_shapes_flow() {
         let mut net = tiny_mlp(1, 4, 8, 3);
         let x = Tensor::zeros(&[5, 4]);
-        let y = net.forward(&x);
+        let y = net.try_forward(&x).unwrap();
         assert_eq!(y.shape(), &[5, 3]);
         assert_eq!(net.len(), 3);
         assert_eq!(net.param_count(), 8 * 4 + 3 * 8);
@@ -261,16 +242,16 @@ mod tests {
         let data = gaussian_blobs(3, 60, 4, 0.3, 42);
         let mut net = tiny_mlp(7, 4, 16, 3);
         let opt = Sgd::new(0.1);
-        let first_loss = net.train_step(&data.inputs, &data.labels, &opt);
+        let first_loss = net.try_train_step(&data.inputs, &data.labels, &opt).unwrap();
         let mut last = first_loss;
         for _ in 0..120 {
-            last = net.train_step(&data.inputs, &data.labels, &opt);
+            last = net.try_train_step(&data.inputs, &data.labels, &opt).unwrap();
         }
         assert!(
             last < first_loss * 0.3,
             "loss should fall substantially: {first_loss} → {last}"
         );
-        assert!(net.accuracy(&data.inputs, &data.labels) > 0.9);
+        assert!(net.accuracy(&data.inputs, &data.labels).unwrap() > 0.9);
     }
 
     #[test]
@@ -286,12 +267,12 @@ mod tests {
         // The 0.34 slope attenuates signals; a higher lr compensates.
         let opt = Sgd::new(0.3);
         for _ in 0..200 {
-            net.train_step(&data.inputs, &data.labels, &opt);
+            net.try_train_step(&data.inputs, &data.labels, &opt).unwrap();
         }
         assert!(
-            net.accuracy(&data.inputs, &data.labels) > 0.9,
+            net.accuracy(&data.inputs, &data.labels).unwrap() > 0.9,
             "accuracy {}",
-            net.accuracy(&data.inputs, &data.labels)
+            net.accuracy(&data.inputs, &data.labels).unwrap()
         );
     }
 
@@ -299,9 +280,9 @@ mod tests {
     fn predict_agrees_with_argmax() {
         let mut net = tiny_mlp(1, 2, 4, 2);
         let x = Tensor::from_vec(&[1, 2], vec![0.3, -0.7]);
-        let logits = net.forward(&x);
+        let logits = net.try_forward(&x).unwrap();
         let manual = if logits.at2(0, 0) >= logits.at2(0, 1) { 0 } else { 1 };
-        assert_eq!(net.predict(&x)[0], manual);
+        assert_eq!(net.predict(&x).unwrap()[0], manual);
     }
 
     #[test]
@@ -321,16 +302,16 @@ mod tests {
             .push(Flatten::new())
             .push(Dense::new(10, 6 * 4 * 4, &mut rng));
         let opt = Sgd::new(0.3);
-        let first = net.train_step(&images, &data.labels, &opt);
+        let first = net.try_train_step(&images, &data.labels, &opt).unwrap();
         let mut last = first;
         for _ in 0..60 {
-            last = net.train_step(&images, &data.labels, &opt);
+            last = net.try_train_step(&images, &data.labels, &opt).unwrap();
         }
         assert!(last < first * 0.5, "CNN loss should halve: {first} -> {last}");
         assert!(
-            net.accuracy(&images, &data.labels) > 0.8,
+            net.accuracy(&images, &data.labels).unwrap() > 0.8,
             "CNN accuracy {}",
-            net.accuracy(&images, &data.labels)
+            net.accuracy(&images, &data.labels).unwrap()
         );
     }
 

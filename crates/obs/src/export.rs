@@ -17,7 +17,7 @@ use crate::ObsSnapshot;
 use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -216,5 +216,6 @@ mod tests {
         snap.events[0].name = Cow::Owned("weird\"name\\with\nstuff".to_string());
         let j = to_json(&snap);
         assert!(j.contains("weird\\\"name\\\\with\\nstuff"));
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -275,12 +275,6 @@ impl PowerMw {
         self.0 * 1e-3
     }
 
-    /// Construct from microwatts.
-    #[inline]
-    pub fn from_uw(uw: f64) -> Self {
-        Self(uw * 1e-3)
-    }
-
     /// Energy dissipated when this power is applied for `t`.
     ///
     /// 1 mW × 1 ns = 1 pJ, so the conversion is exact in these units.

@@ -271,7 +271,9 @@ impl Fleet {
         if profiles.is_empty() {
             return Err(ServeError::NoReplicas);
         }
-        let layers = dims.len() - 1;
+        // Fewer than two widths leaves no weight layer; the engine build
+        // below reports that as a typed error.
+        let layers = dims.len().saturating_sub(1);
         if sharding == Sharding::LayerPipeline && profiles.len() > layers {
             return Err(ServeError::BadPipeline { stages: profiles.len(), layers });
         }
@@ -294,7 +296,9 @@ impl Fleet {
             };
             let mut engine = PhotonicMlp::try_with_options(&stage_dims, opts)?;
             if let Some(weights) = pretrained {
-                let stage_weights = &weights[layer_lo..layer_lo + engine.layer_count()];
+                let stage_weights = weights
+                    .get(layer_lo..layer_lo + engine.layer_count())
+                    .ok_or(ArchError::LayerOutOfRange { layer: weights.len(), layers })?;
                 engine.try_deploy_weights(stage_weights)?;
             }
             if profile.laser_droop > 0.0 {

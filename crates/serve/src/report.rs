@@ -7,6 +7,7 @@
 //! at any thread count, with tracing on or off.
 
 pub use crate::fleet::ReplicaLedger as ReplicaReport;
+use trident_obs::export::escape;
 use trident_obs::hist::HistSnapshot;
 
 /// The outcome of one serving scenario.
@@ -126,21 +127,6 @@ impl ServeReport {
     }
 }
 
-/// Minimal JSON string escaping (labels are plain ASCII in practice).
-fn escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,10 +183,5 @@ mod tests {
         {
             assert!(a.contains(needle), "missing {needle} in:\n{a}");
         }
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -317,6 +317,29 @@ fn run_on_fleet(
 mod tests {
     use super::*;
 
+    #[test]
+    fn malformed_models_are_typed_errors() {
+        let too_few_widths = |n: usize| {
+            ServeError::Arch(trident_arch::ArchError::InvalidParameter {
+                name: "layer widths",
+                value: n,
+                expected: "at least 2",
+            })
+        };
+        let cases = [
+            ("no layer widths", ServeConfig { dims: vec![], ..tiny_config() }, too_few_widths(0)),
+            ("one layer width", ServeConfig { dims: vec![8], ..tiny_config() }, too_few_widths(1)),
+            (
+                "too few pretrained layers",
+                ServeConfig { pretrained: Some(vec![vec![0.0; 48]]), ..tiny_config() },
+                ServeError::Arch(trident_arch::ArchError::LayerOutOfRange { layer: 1, layers: 2 }),
+            ),
+        ];
+        for (case, cfg, want) in cases {
+            assert_eq!(run(&cfg).map(drop), Err(want), "{case}");
+        }
+    }
+
     fn tiny_config() -> ServeConfig {
         let dataset: Vec<(Vec<f64>, usize)> =
             (0..6).map(|c| (vec![f64::from(c) / 6.0; 8], usize::try_from(c).unwrap() % 4)).collect();

@@ -199,7 +199,7 @@ fn ablation_drift_json() -> String {
     // the full statistical pipeline (programming noise, drift, reference
     // compensation, dual adaptive training) bit-for-bit without turning
     // the snapshot job into a training benchmark.
-    let rows = ex::ablations::drift::run(ex::ablations::drift::HOUR_POINTS, 2, 1);
+    let rows = ex::ablations::drift::run(ex::ablations::drift::HOUR_POINTS, 2, 1).unwrap();
     let mut out = String::from("{\n  \"artifact\": \"ablation_drift\",\n  \"rows\": [\n");
     let body: Vec<String> = rows
         .iter()
@@ -395,7 +395,7 @@ fn engines_json() -> String {
     let mut e = mlp(EngineOptions { seed: 7, ..Default::default() });
     let mut fb = DfaFeedback::for_engine(&e, 41);
     s.value("feedback_programming_energy", fb.programming_energy().value());
-    s.f64s("loss_history", &train_dfa(&mut e, &mut fb, &xs, &labels, 0.3, 1));
+    s.f64s("loss_history", &train_dfa(&mut e, &mut fb, &xs, &labels, 0.3, 1).unwrap());
     s.f64s("projection", &fb.project(0, &[0.5, -0.25, 0.75, -1.0]));
     s.mlp(&e);
     snaps.push(s);
@@ -504,7 +504,7 @@ fn golden_engines() {
 fn statistical_layer_defaults_off() {
     use trident::arch::engine::{EngineOptions, PhotonicMlp};
     assert!(EngineOptions::default().stat.is_none(), "stat layer crept into the defaults");
-    let engine = PhotonicMlp::with_options(&[8, 4], EngineOptions::default());
+    let engine = PhotonicMlp::try_with_options(&[8, 4], EngineOptions::default()).unwrap();
     assert!(!engine.stat_enabled(), "default engine must not carry statistical banks");
 }
 

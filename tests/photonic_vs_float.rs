@@ -33,9 +33,9 @@ fn float_forward(net: &mut [(Dense, Option<ActivationLayer>)], x: &[f64]) -> Vec
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
     let mut t = Tensor::from_vec(&[1, x.len()], x32);
     for (dense, act) in net.iter_mut() {
-        t = dense.forward(&t);
+        t = dense.try_forward(&t).unwrap();
         if let Some(a) = act {
-            t = a.forward(&t);
+            t = a.try_forward(&t).unwrap();
         }
     }
     t.data().iter().map(|&v| v as f64).collect()
@@ -43,11 +43,11 @@ fn float_forward(net: &mut [(Dense, Option<ActivationLayer>)], x: &[f64]) -> Vec
 
 #[test]
 fn forward_pass_matches_float_reference_within_quantization() {
-    let mut engine = PhotonicMlp::new(&[12, 10, 4], 31, None, 8);
+    let mut engine = PhotonicMlp::new(&[12, 10, 4], 31, None, 8).unwrap();
     let mut mirror = mirror_network(&engine);
     for trial in 0..8 {
         let x: Vec<f64> = (0..12).map(|i| ((i * 7 + trial * 13) % 10) as f64 / 10.0).collect();
-        let photonic = engine.forward(&x);
+        let photonic = engine.try_forward(&x).unwrap();
         let float = float_forward(&mut mirror, &x);
         for (r, (&p, &f)) in photonic.iter().zip(&float).enumerate() {
             assert!(
@@ -60,11 +60,11 @@ fn forward_pass_matches_float_reference_within_quantization() {
 
 #[test]
 fn forward_pass_with_receiver_noise_stays_close() {
-    let mut ideal = PhotonicMlp::new(&[12, 10, 4], 31, None, 8);
-    let mut noisy = PhotonicMlp::new(&[12, 10, 4], 31, Some(5), 8);
+    let mut ideal = PhotonicMlp::new(&[12, 10, 4], 31, None, 8).unwrap();
+    let mut noisy = PhotonicMlp::new(&[12, 10, 4], 31, Some(5), 8).unwrap();
     let x: Vec<f64> = (0..12).map(|i| (i % 5) as f64 / 5.0).collect();
-    let yi = ideal.forward(&x);
-    let yn = noisy.forward(&x);
+    let yi = ideal.try_forward(&x).unwrap();
+    let yn = noisy.try_forward(&x).unwrap();
     for (r, (&a, &b)) in yi.iter().zip(&yn).enumerate() {
         assert!((a - b).abs() < 0.1, "output {r}: ideal {a} vs noisy {b}");
     }
@@ -75,10 +75,10 @@ fn tiled_wide_layer_matches_float_reference() {
     // 50 inputs → 4 column tiles; 20 hidden → 2 row tiles. Seed pinned
     // against the vendored RNG stream (16 of 23 scanned seeds fit the
     // 0.15 crosstalk bound; this one leaves 2× margin).
-    let mut engine = PhotonicMlp::new(&[50, 20, 5], 12, None, 8);
+    let mut engine = PhotonicMlp::new(&[50, 20, 5], 12, None, 8).unwrap();
     let mut mirror = mirror_network(&engine);
     let x: Vec<f64> = (0..50).map(|i| ((i * 3) % 8) as f64 / 8.0).collect();
-    let photonic = engine.forward(&x);
+    let photonic = engine.try_forward(&x).unwrap();
     let float = float_forward(&mut mirror, &x);
     for (r, (&p, &f)) in photonic.iter().zip(&float).enumerate() {
         assert!((p - f).abs() < 0.15, "output {r}: photonic {p} vs float {f}");
@@ -194,7 +194,7 @@ fn insitu_gradient_matches_float_backprop() {
     // One supervised step on identical weights/data: the photonic weight
     // update direction must agree with autograd.
     let dims = [8usize, 6, 3];
-    let mut engine = PhotonicMlp::new(&dims, 77, None, 8);
+    let mut engine = PhotonicMlp::new(&dims, 77, None, 8).unwrap();
     let mut mirror = mirror_network(&engine);
     let x: Vec<f64> = vec![0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4];
     let label = 1usize;
@@ -203,18 +203,18 @@ fn insitu_gradient_matches_float_backprop() {
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
     let mut t = Tensor::from_vec(&[1, 8], x32);
     for (dense, act) in mirror.iter_mut() {
-        t = dense.forward(&t);
+        t = dense.try_forward(&t).unwrap();
         if let Some(a) = act {
-            t = a.forward(&t);
+            t = a.try_forward(&t).unwrap();
         }
     }
     let (_, grad) = trident::nn::loss::softmax_cross_entropy(&t, &[label]);
     let mut g = grad;
     for (dense, act) in mirror.iter_mut().rev() {
         if let Some(a) = act {
-            g = a.backward(&g);
+            g = a.try_backward(&g).unwrap();
         }
-        g = dense.backward(&g);
+        g = dense.try_backward(&g).unwrap();
     }
 
     // Photonic step with lr small enough to read the gradient off the
@@ -222,7 +222,7 @@ fn insitu_gradient_matches_float_backprop() {
     let lr = 0.05;
     let before: Vec<Vec<f64>> =
         (0..2).map(|k| engine.layer_weights(k).to_vec()).collect();
-    engine.train_sample(&x, label, lr);
+    engine.try_train_sample(&x, label, lr).unwrap();
     for k in 0..2 {
         let after = engine.layer_weights(k);
         let reference = match k {

@@ -25,7 +25,7 @@ fn at_threads<T>(threads: usize, run: impl Fn() -> T) -> T {
 /// the machine-readable artifact `ablation_serve` writes to disk.
 fn reports_json(threads: usize) -> String {
     at_threads(threads, || {
-        serve::run(2, 120).iter().map(|r| r.to_json()).collect::<Vec<_>>().join(",\n")
+        serve::run(2, 120).unwrap().iter().map(|r| r.to_json()).collect::<Vec<_>>().join(",\n")
     })
 }
 
