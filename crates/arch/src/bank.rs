@@ -70,6 +70,18 @@ pub struct ProgramReport {
     pub failures: Vec<(usize, usize, PcmError)>,
 }
 
+/// What one open-loop programming pass spent, and whether every write
+/// landed.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct OpenLoopPass {
+    /// Write energy of the cells that changed.
+    pub(crate) energy: EnergyPj,
+    /// One write time when anything changed, else zero.
+    pub(crate) time: Nanoseconds,
+    /// Whether a stuck or worn cell rejected a write.
+    pub(crate) rejected: bool,
+}
+
 /// A J×N PCM-MRR weight bank.
 ///
 /// ```
@@ -364,37 +376,74 @@ impl WeightBank {
     {
         let weights = weights.into_iter();
         assert_eq!(weights.len(), self.rows, "row count mismatch");
-        let mut spent = EnergyPj::ZERO;
+        let mut pass = OpenLoopPass::default();
         for (r, row) in weights.enumerate() {
             let row = row.as_ref();
             assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
             for (c, &w) in row.iter().enumerate() {
-                let idx = r * self.cols + c;
-                if self.masked[idx] {
-                    continue;
-                }
-                match self.rings[idx].try_set_weight(w, &self.lut) {
-                    Ok(e) => {
-                        if e.value() > 0.0 {
-                            spent += e;
-                            self.mark_stale(idx);
-                            self.stat_on_write(idx, w);
-                        }
-                    }
-                    Err(e @ PcmError::WeightOutOfRange(_)) => panic!("{e}"),
-                    // Stuck or worn cells reject the write; the failure is
-                    // tallied on the ring and the old state stays active.
-                    Err(_) => {}
+                if let Err(e) = self.write_slot(r * self.cols + c, w, &mut pass) {
+                    panic!("{e}");
                 }
             }
         }
-        let time = if spent.value() > 0.0 {
+        let pass = self.close_pass(pass);
+        (pass.energy, pass.time)
+    }
+
+    /// Open-loop writes of `(slot, weight)` pairs, in order, as one
+    /// programming event: the fallible form of [`WeightBank::program`]
+    /// for callers that touch only some slots (a KV-cache row or
+    /// column) and need to know whether every write landed.
+    ///
+    /// Out-of-range weights stop the pass with
+    /// [`PcmError::WeightOutOfRange`]; the slots written before it keep
+    /// their new state.
+    pub(crate) fn try_program_slots(
+        &mut self,
+        slots: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Result<OpenLoopPass, PcmError> {
+        let mut pass = OpenLoopPass::default();
+        for (idx, w) in slots {
+            self.write_slot(idx, w, &mut pass)?;
+        }
+        Ok(self.close_pass(pass))
+    }
+
+    /// One open-loop cell write, the body every open-loop programming
+    /// path shares. Masked slots are skipped; a write rejected by a
+    /// stuck or worn cell is tallied on the ring, flagged on `pass`, and
+    /// leaves the old state on the bus. Only an out-of-range weight (a
+    /// caller bug) is an error.
+    fn write_slot(&mut self, idx: usize, w: f64, pass: &mut OpenLoopPass) -> Result<(), PcmError> {
+        if self.masked[idx] {
+            return Ok(());
+        }
+        match self.rings[idx].try_set_weight(w, &self.lut) {
+            Ok(e) => {
+                if e.value() > 0.0 {
+                    pass.energy += e;
+                    self.mark_stale(idx);
+                    self.stat_on_write(idx, w);
+                }
+                Ok(())
+            }
+            Err(e @ PcmError::WeightOutOfRange(_)) => Err(e),
+            Err(_) => {
+                pass.rejected = true;
+                Ok(())
+            }
+        }
+    }
+
+    /// Close an open-loop pass: all rings program in parallel, so it
+    /// costs one write time and one programming event when anything
+    /// changed.
+    fn close_pass(&mut self, mut pass: OpenLoopPass) -> OpenLoopPass {
+        if pass.energy.value() > 0.0 {
             self.program_events += 1;
-            self.rings[0].cell().params().write_time
-        } else {
-            Nanoseconds(0.0)
-        };
-        (spent, time)
+            pass.time = self.rings[0].cell().params().write_time;
+        }
+        pass
     }
 
     /// Program from a flat row-major matrix (for tensors).
@@ -820,27 +869,42 @@ impl WeightBank {
 
     /// Optical matrix-vector product: unit-full-scale channel powers
     /// `x[j] ∈ [0, 1]` in, per-row **normalized dot products** out (the
-    /// balanced rail difference divided by the LUT scale).
+    /// balanced rail difference divided by the LUT scale). Allocates the
+    /// result; the read itself is [`WeightBank::mvm_into`].
     ///
     /// # Panics
     /// Panics on width mismatch or out-of-range inputs.
     pub fn mvm(&mut self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.rows];
+        self.mvm_into(x, &mut y);
+        y
+    }
+
+    /// [`WeightBank::mvm`] into the caller's `y` (`rows` entries).
+    ///
+    /// # Panics
+    /// Panics on width mismatch or out-of-range inputs.
+    pub fn mvm_into(&mut self, x: &[f64], y: &mut [f64]) {
         self.settle();
+        self.check_read(x, y);
+        let scale = self.lut.scale();
+        for (r, out) in y.iter_mut().enumerate() {
+            let base = r * self.cols;
+            let mut acc = 0.0;
+            for j in 0..self.cols {
+                acc += (self.drop_coeff[base + j] - self.through_coeff[base + j]) * x[j];
+            }
+            *out = acc / scale;
+        }
+    }
+
+    /// Shape and range checks of one optical read.
+    fn check_read(&self, x: &[f64], y: &[f64]) {
         assert_eq!(x.len(), self.cols, "input width mismatch");
+        assert_eq!(y.len(), self.rows, "output width mismatch");
         for (j, &v) in x.iter().enumerate() {
             assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
         }
-        let scale = self.lut.scale();
-        (0..self.rows)
-            .map(|r| {
-                let base = r * self.cols;
-                let mut acc = 0.0;
-                for j in 0..self.cols {
-                    acc += (self.drop_coeff[base + j] - self.through_coeff[base + j]) * x[j];
-                }
-                acc / scale
-            })
-            .collect()
     }
 
     /// Statistical matrix-vector product: the deterministic optics of
@@ -855,19 +919,23 @@ impl WeightBank {
     ///
     /// With every σ at zero and every ν at zero this reduces bitwise to
     /// [`WeightBank::mvm`] (the noise-off passthrough the proptests pin);
-    /// with the layer off it *is* `mvm`.
+    /// with the layer off it *is* `mvm`. Allocates the result; the read
+    /// itself is [`WeightBank::mvm_stat_into`].
     pub fn mvm_stat(&mut self, x: &[f64]) -> Vec<f64> {
-        self.settle();
+        let mut y = vec![0.0; self.rows];
+        self.mvm_stat_into(x, &mut y);
+        y
+    }
+
+    /// [`WeightBank::mvm_stat`] into the caller's `y` (`rows` entries).
+    pub fn mvm_stat_into(&mut self, x: &[f64], y: &mut [f64]) {
         let Some(mut stat) = self.stat.take() else {
-            return self.mvm(x);
+            return self.mvm_into(x, y);
         };
-        assert_eq!(x.len(), self.cols, "input width mismatch");
-        for (j, &v) in x.iter().enumerate() {
-            assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
-        }
+        self.settle();
+        self.check_read(x, y);
         let scale = self.lut.scale();
-        let mut y = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
+        for (r, out) in y.iter_mut().enumerate() {
             let base = r * self.cols;
             let mut acc = 0.0;
             for j in 0..self.cols {
@@ -882,13 +950,12 @@ impl WeightBank {
             let noise = stat.params.read_sigma_weight
                 * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
             stat.read_draws += 1;
-            y.push((acc / scale + noise) * stat.gain);
+            *out = (acc / scale + noise) * stat.gain;
         }
         if obs::enabled() {
             obs::add(obs::Counter::StatNoiseSamples, self.rows as u64);
         }
         self.stat = Some(stat);
-        y
     }
 
     /// Per-ring balanced readout coefficient for the outer-product mode:

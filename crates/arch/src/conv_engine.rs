@@ -207,7 +207,9 @@ impl PhotonicCnn {
                 fill_reuse(&mut scratch.logits, &mut scratch.heap_allocs, |h| {
                     conv.mvm_agc(patch, Agc::Max, h, None);
                 });
-                let fired = self.conv.activate_band(0, &scratch.logits);
+                let mut fired = [0.0; TILE];
+                let fired = &mut fired[..scratch.logits.len()];
+                self.conv.activate_band(0, &scratch.logits, fired);
                 for (f, &y) in fired.iter().enumerate() {
                     scratch.activ[(f * conv_h + oy) * conv_w + ox] = y;
                 }

@@ -20,7 +20,7 @@
 //! "utilize the entire weight bank and perform N outer products": all `N`
 //! ring products of a `δW` row emerge in parallel, one row per symbol).
 
-use crate::bank::{ProgramReport, WeightBank};
+use crate::bank::{OpenLoopPass, ProgramReport, WeightBank};
 use crate::error::ArchError;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -93,6 +93,11 @@ pub struct ProcessingElement {
     laser_droop: f64,
     /// Outer-product ring readouts, reused across calls.
     readout: Vec<f64>,
+    /// Dual-rail scratch of the signed MVM: the positive and negative
+    /// input parts (`cols` wide) and the negative pass's rows.
+    pos: Vec<f64>,
+    neg: Vec<f64>,
+    yn: Vec<f64>,
 }
 
 impl ProcessingElement {
@@ -140,6 +145,9 @@ impl ProcessingElement {
             elapsed: Nanoseconds(0.0),
             laser_droop: 0.0,
             readout: Vec::with_capacity(cols),
+            pos: vec![0.0; cols],
+            neg: vec![0.0; cols],
+            yn: vec![0.0; rows],
         }
     }
 
@@ -178,6 +186,22 @@ impl ProcessingElement {
     /// Program the bank from a flat row-major matrix.
     pub fn program(&mut self, weights: &[f64]) {
         let (energy, time) = self.bank.program_flat(weights);
+        self.bill_write(energy, time);
+    }
+
+    /// Open-loop writes of `(slot, weight)` pairs only (slot = `row ·
+    /// cols + col`), billed like [`ProcessingElement::program`]. Returns
+    /// what the pass spent and whether every write landed.
+    pub(crate) fn try_program_slots(
+        &mut self,
+        slots: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Result<OpenLoopPass, ArchError> {
+        let pass = self.bank.try_program_slots(slots)?;
+        self.bill_write(pass.energy, pass.time);
+        Ok(pass)
+    }
+
+    fn bill_write(&mut self, energy: EnergyPj, time: Nanoseconds) {
         if energy.value() > 0.0 {
             self.energy.charge("gst write", energy);
             self.elapsed += time;
@@ -197,12 +221,7 @@ impl ProcessingElement {
         rng: &mut StdRng,
     ) -> Result<ProgramReport, ArchError> {
         let report = self.bank.try_program_verified(weights, policy, rng)?;
-        if report.energy.value() > 0.0 {
-            self.energy.charge("gst write", report.energy);
-            self.elapsed += report.time;
-            obs::add(obs::Counter::PcmWrites, 1);
-            obs::add_pj(obs::Counter::PcmWriteFj, report.energy.value());
-        }
+        self.bill_write(report.energy, report.time);
         obs::add(obs::Counter::FaultRemapEvents, report.remapped as u64);
         obs::add(obs::Counter::FaultMaskEvents, report.masked as u64);
         Ok(report)
@@ -210,17 +229,25 @@ impl ProcessingElement {
 
     /// Unsigned optical MVM: `x[j] ∈ [0, 1]`, returns per-row dot products.
     pub fn mvm_unsigned(&mut self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.rows()];
+        self.mvm_unsigned_into(x, &mut y);
+        y
+    }
+
+    /// [`ProcessingElement::mvm_unsigned`] into the caller's `y` (`rows`
+    /// entries). Allocates nothing.
+    pub fn mvm_unsigned_into(&mut self, x: &[f64], y: &mut [f64]) {
         // The statistical readout needs `&mut` for its draw counter; the
         // deterministic bank path is untouched when the layer is off.
-        let mut y = if self.bank.stat_enabled() {
-            self.bank.mvm_stat(x)
+        if self.bank.stat_enabled() {
+            self.bank.mvm_stat_into(x, y);
         } else {
-            self.bank.mvm(x)
-        };
+            self.bank.mvm_into(x, y);
+        }
         if self.laser_droop > 0.0 {
             // A drooped pump delivers less power on every channel; all
             // detected dot products shrink by the same factor.
-            for v in &mut y {
+            for v in y.iter_mut() {
                 *v *= 1.0 - self.laser_droop;
             }
         }
@@ -228,41 +255,62 @@ impl ProcessingElement {
         // the 1 mW full-scale channel power and the LUT scale.
         let total_power = trident_photonics::units::PowerMw(x.iter().sum::<f64>());
         let denom = self.bank.lut().scale();
-        for v in &mut y {
+        for v in y.iter_mut() {
             let n = self.noise.receiver_current_noise_ma(total_power);
             *v += n / denom;
         }
         self.charge_symbol(x.len());
-        y
     }
 
     /// Signed optical MVM via two passes (positive and negative parts)
-    /// and electronic subtraction. Inputs may have any magnitude; they are
-    /// normalized onto the lasers and rescaled after detection.
-    pub fn mvm_signed(&mut self, x: &[f64]) -> Vec<f64> {
+    /// and electronic subtraction, into the caller's `y` (`rows`
+    /// entries). Inputs may have any magnitude; they are normalized onto
+    /// the lasers and rescaled after detection. The dual-rail inputs and
+    /// the negative pass live in PE-owned scratch, so this allocates
+    /// nothing.
+    pub fn mvm_signed_into(&mut self, x: &[f64], y: &mut [f64]) {
         let max = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         if max == 0.0 {
-            return vec![0.0; self.rows()];
+            y.fill(0.0);
+            return;
         }
-        let pos: Vec<f64> = x.iter().map(|&v| (v.max(0.0)) / max).collect();
-        let neg: Vec<f64> = x.iter().map(|&v| (-v).max(0.0) / max).collect();
-        let yp = self.mvm_unsigned(&pos);
-        let yn = self.mvm_unsigned(&neg);
-        yp.into_iter().zip(yn).map(|(p, n)| (p - n) * max).collect()
+        let (mut pos, mut neg, mut yn) = (
+            std::mem::take(&mut self.pos),
+            std::mem::take(&mut self.neg),
+            std::mem::take(&mut self.yn),
+        );
+        pos.clear();
+        pos.extend(x.iter().map(|&v| v.max(0.0) / max));
+        neg.clear();
+        neg.extend(x.iter().map(|&v| (-v).max(0.0) / max));
+        self.mvm_unsigned_into(&pos, y);
+        self.mvm_unsigned_into(&neg, &mut yn);
+        for (p, &n) in y.iter_mut().zip(&yn) {
+            *p = (*p - n) * max;
+        }
+        (self.pos, self.neg, self.yn) = (pos, neg, yn);
     }
 
     /// Latch the LDSUs on logits `h` and fire the GST activation cells.
     /// Returns the activations `y = f(h)` (the Fig. 3 transfer).
     pub fn latch_and_activate(&mut self, h: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; h.len()];
+        self.latch_and_activate_into(h, &mut out);
+        out
+    }
+
+    /// [`ProcessingElement::latch_and_activate`] into the caller's `out`
+    /// (`h.len()` entries). Allocates nothing.
+    pub fn latch_and_activate_into(&mut self, h: &[f64], out: &mut [f64]) {
         assert!(h.len() <= self.rows(), "more logits than rows");
-        let mut out = Vec::with_capacity(h.len());
+        assert_eq!(out.len(), h.len(), "activation width mismatch");
         let mut reset_energy = EnergyPj::ZERO;
-        for (r, &logit) in h.iter().enumerate() {
+        for (r, (&logit, y)) in h.iter().zip(out.iter_mut()).enumerate() {
             self.ldsus[r].latch(logit);
             // Negative logits carry no optical power: dark pulse.
             let pulse = EnergyPj(logit.max(0.0) * LOGIT_ENERGY_PJ);
             let fired = self.activations[r].apply(pulse);
-            out.push(fired.value() / LOGIT_ENERGY_PJ);
+            *y = fired.value() / LOGIT_ENERGY_PJ;
             reset_energy += self.activations[r].reset();
         }
         if reset_energy.value() > 0.0 {
@@ -273,7 +321,6 @@ impl ProcessingElement {
         for r in h.len()..self.rows() {
             self.ldsus[r].latch(f64::NEG_INFINITY);
         }
-        out
     }
 
     /// Program each row's TIA gain from its LDSU (`f'(h)` — the Hadamard
@@ -414,7 +461,8 @@ mod tests {
             0.5, -0.5, 0.0, 0.0, //
             0.0, 0.0, 0.0, 0.0,
         ]);
-        let y = p.mvm_signed(&[-2.0, 3.0, 0.0, 0.0]);
+        let mut y = [0.0; 4];
+        p.mvm_signed_into(&[-2.0, 3.0, 0.0, 0.0], &mut y);
         assert!((y[0] + 2.0).abs() < 0.15, "row 0: {}", y[0]);
         assert!((y[1] - 3.0).abs() < 0.15, "row 1: {}", y[1]);
         assert!((y[2] + 2.5).abs() < 0.2, "row 2: {}", y[2]);

@@ -72,6 +72,10 @@ pub(crate) struct TiledMatrix {
     row_tiles: usize,
     col_tiles: usize,
     pes: Vec<ProcessingElement>,
+    /// Per PE: its bank holds exactly its tile of the matrix last passed
+    /// to [`TiledMatrix::program_row`] / [`TiledMatrix::program_col`],
+    /// so the next row or column write may skip every other cell.
+    synced: Vec<bool>,
 }
 
 /// Bounds `[16·t, min(16·t + 16, len))` of tile band `t`.
@@ -104,7 +108,8 @@ impl TiledMatrix {
                 pe
             })
             .collect();
-        Self { out, inp, row_tiles, col_tiles, pes }
+        let synced = vec![false; row_tiles * col_tiles];
+        Self { out, inp, row_tiles, col_tiles, pes, synced }
     }
 
     /// Matrix rows.
@@ -117,8 +122,10 @@ impl TiledMatrix {
         self.inp
     }
 
-    /// Mutable PEs, row-major by tile.
+    /// Mutable PEs, row-major by tile. The caller may change any bank,
+    /// so the next row or column write reprograms whole tiles.
     pub(crate) fn pes_mut(&mut self) -> &mut [ProcessingElement] {
+        self.synced.fill(false);
         &mut self.pes
     }
 
@@ -160,6 +167,7 @@ impl TiledMatrix {
 
     fn program_view(&mut self, w: &[f64], transposed: bool) {
         let (_, cols, _, _) = self.view(transposed);
+        self.synced.fill(false);
         for t in 0..self.pes.len() {
             let tile = self.tile(w, t / cols, t % cols, transposed);
             self.pes[t].program(&tile);
@@ -176,6 +184,7 @@ impl TiledMatrix {
         policy: &WriteVerifyPolicy,
         rng: &mut StdRng,
     ) -> Result<(), ArchError> {
+        self.synced.fill(false);
         for t in 0..self.pes.len() {
             let tile = self.tile(w, t / self.col_tiles, t % self.col_tiles, false);
             self.pes[t].program_verified(&tile, policy, rng)?;
@@ -183,29 +192,62 @@ impl TiledMatrix {
         Ok(())
     }
 
-    /// Program tile `(rt, ct)` of `w`, returning the write energy spent
-    /// (zero when no cell changed).
-    fn program_tile(&mut self, w: &[f64], rt: usize, ct: usize) -> EnergyPj {
-        let tile = self.tile(w, rt, ct, false);
-        let pe = &mut self.pes[rt * self.col_tiles + ct];
-        let before = pe.energy().get("gst write");
-        pe.program(&tile);
-        pe.energy().get("gst write") - before
+    /// Program row `r` of `w`, which must differ from the matrix last
+    /// programmed through [`TiledMatrix::program_row`] /
+    /// [`TiledMatrix::program_col`] in that row only. Returns the write
+    /// energy spent (zero when no cell changed).
+    ///
+    /// Only the row's cells are written, except on a PE's first write
+    /// (or after its bank was changed some other way, or a write in it
+    /// was rejected): then the PE's whole tile is programmed, padding
+    /// and not-yet-used rows included, since those cells sit on the WDM
+    /// bus too. Unchanged cells are write no-ops, so this spends exactly
+    /// what reprogramming every tile the row crosses would.
+    pub(crate) fn program_row(&mut self, w: &[f64], r: usize) -> Result<EnergyPj, ArchError> {
+        let (rt, i) = (r / TILE, r % TILE);
+        let row = &w[r * self.inp..(r + 1) * self.inp];
+        let mut spent = EnergyPj::ZERO;
+        for ct in 0..self.col_tiles {
+            let (lo, hi) = band(ct, self.inp);
+            let cells = row[lo..hi].iter().enumerate().map(|(j, &v)| (i * TILE + j, v));
+            spent += self.program_cells(w, rt, ct, cells)?;
+        }
+        Ok(spent)
     }
 
-    /// (Re)program every tile covering rows `[16·rt, 16·rt + 16)` of `w`.
-    /// Unchanged cells are write no-ops, so re-banding an already-cached
-    /// KV row costs nothing — history-free programming is what makes
-    /// incremental decode bitwise-equal to a fresh recompute. Returns the
-    /// write energy spent.
-    pub(crate) fn program_row_band(&mut self, w: &[f64], rt: usize) -> EnergyPj {
-        (0..self.col_tiles).map(|ct| self.program_tile(w, rt, ct)).sum()
+    /// Program column `c` of `w`: the column counterpart of
+    /// [`TiledMatrix::program_row`], under the same contract.
+    pub(crate) fn program_col(&mut self, w: &[f64], c: usize) -> Result<EnergyPj, ArchError> {
+        let (ct, j) = (c / TILE, c % TILE);
+        let inp = self.inp;
+        let mut spent = EnergyPj::ZERO;
+        for rt in 0..self.row_tiles {
+            let (lo, hi) = band(rt, self.out);
+            let cells = (lo..hi).map(|r| ((r - lo) * TILE + j, w[r * inp + c]));
+            spent += self.program_cells(w, rt, ct, cells)?;
+        }
+        Ok(spent)
     }
 
-    /// (Re)program every tile covering columns `[16·ct, 16·ct + 16)` of
-    /// `w`. Returns the write energy spent.
-    pub(crate) fn program_col_band(&mut self, w: &[f64], ct: usize) -> EnergyPj {
-        (0..self.row_tiles).map(|rt| self.program_tile(w, rt, ct)).sum()
+    /// Write `cells` of tile `(rt, ct)`, or the whole tile of `w` until
+    /// its PE is synced, and record whether it now is.
+    fn program_cells(
+        &mut self,
+        w: &[f64],
+        rt: usize,
+        ct: usize,
+        cells: impl Iterator<Item = (usize, f64)>,
+    ) -> Result<EnergyPj, ArchError> {
+        let t = rt * self.col_tiles + ct;
+        let synced = std::mem::replace(&mut self.synced[t], false);
+        let pass = if synced {
+            self.pes[t].try_program_slots(cells)?
+        } else {
+            let tile = self.tile(w, rt, ct, false);
+            self.pes[t].try_program_slots(tile.iter().copied().enumerate())?
+        };
+        self.synced[t] = !pass.rejected;
+        Ok(pass.energy)
     }
 
     /// Unsigned MVM `h = W·x` with electronic AGC: `x` is normalised by
@@ -274,9 +316,16 @@ impl TiledMatrix {
             }
             for rt in 0..row_tiles {
                 let pe = &mut self.pes[rt * col_tiles + ct];
-                let (partial, gain) = match optics {
-                    Optics::Signed => (pe.mvm_signed(&slice), 1.0),
-                    Optics::Unsigned { scale, .. } => (pe.mvm_unsigned(&slice), scale),
+                let mut partial = [0.0; TILE];
+                let gain = match optics {
+                    Optics::Signed => {
+                        pe.mvm_signed_into(&slice, &mut partial);
+                        1.0
+                    }
+                    Optics::Unsigned { scale, .. } => {
+                        pe.mvm_unsigned_into(&slice, &mut partial);
+                        scale
+                    }
                 };
                 let (r_lo, r_hi) = band(rt, rows);
                 for (acc, &p) in y[r_lo..r_hi].iter_mut().zip(&partial) {
@@ -295,6 +344,7 @@ impl TiledMatrix {
     /// row-major `out × in`. `y` enters the banks as weights, normalised
     /// by `max |y|` into `[-1, 1]`, on row 0 of a zero tile.
     pub(crate) fn outer_product(&mut self, dh: &[f64], y: &[f64]) -> Vec<f64> {
+        self.synced.fill(false);
         let y_scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(SCALE_FLOOR);
         let inp = self.inp;
         let mut grad = vec![0.0; self.out * inp];
@@ -318,17 +368,17 @@ impl TiledMatrix {
     }
 
     /// Latch row band `rt`'s LDSUs on its logits `h` (≤ 16 entries) and
-    /// fire its GST activation cells, on the band's first PE.
-    pub(crate) fn activate_band(&mut self, rt: usize, h: &[f64]) -> Vec<f64> {
-        self.pes[rt * self.col_tiles].latch_and_activate(h)
+    /// fire its GST activation cells, on the band's first PE, writing
+    /// `f(h)` into `out`.
+    pub(crate) fn activate_band(&mut self, rt: usize, h: &[f64], out: &mut [f64]) {
+        self.pes[rt * self.col_tiles].latch_and_activate_into(h, out);
     }
 
     /// Latch-and-activate every row band: `out[i] = f(h[i])`.
     pub(crate) fn activate(&mut self, h: &[f64], out: &mut [f64]) {
         for rt in 0..self.row_tiles {
             let (lo, hi) = band(rt, self.out);
-            let fired = self.activate_band(rt, &h[lo..hi]);
-            out[lo..hi].copy_from_slice(&fired);
+            self.activate_band(rt, &h[lo..hi], &mut out[lo..hi]);
         }
     }
 
@@ -357,11 +407,11 @@ pub(crate) fn pes<'a>(
     grids.into_iter().flat_map(|g| g.pes.iter())
 }
 
-/// Every PE of `grids`, in order, mutably.
+/// Every PE of `grids`, in order, mutably (see [`TiledMatrix::pes_mut`]).
 pub(crate) fn pes_mut<'a>(
     grids: impl IntoIterator<Item = &'a mut TiledMatrix>,
 ) -> impl Iterator<Item = &'a mut ProcessingElement> {
-    grids.into_iter().flat_map(|g| g.pes.iter_mut())
+    grids.into_iter().flat_map(|g| g.pes_mut().iter_mut())
 }
 
 /// Energy of every PE of `grids`, summed PE by PE in one fold.
@@ -466,9 +516,147 @@ mod tests {
     fn band_programming_spends_nothing_on_unchanged_cells() {
         let w = matrix(20, 20);
         let mut m = TiledMatrix::new(20, 20, |_| TileSeed::default());
-        assert!(m.program_row_band(&w, 1).value() > 0.0);
-        assert_eq!(m.program_row_band(&w, 1), EnergyPj::ZERO);
-        assert!(m.program_col_band(&w, 0).value() > 0.0);
+        assert!(m.program_row(&w, 17).unwrap().value() > 0.0);
+        assert_eq!(m.program_row(&w, 17).unwrap(), EnergyPj::ZERO);
+        // Column 3 crosses tile (0, 0), still unprogrammed, and tile
+        // (1, 0), which the row write already synced to `w`.
+        assert!(m.program_col(&w, 3).unwrap().value() > 0.0);
+        assert_eq!(m.program_col(&w, 3).unwrap(), EnergyPj::ZERO);
         assert_eq!(total_energy([&m]), programming_energy([&m]));
+    }
+
+    /// Program every tile in `tiles` whole: the reference a row or
+    /// column write must reproduce.
+    fn program_whole_tiles(
+        m: &mut TiledMatrix,
+        w: &[f64],
+        tiles: impl IntoIterator<Item = (usize, usize)>,
+    ) {
+        for (rt, ct) in tiles {
+            let tile = m.tile(w, rt, ct, false);
+            m.pes[rt * m.col_tiles + ct].program(&tile);
+        }
+    }
+
+    /// Everything a write can leave behind, as bits: every cell weight,
+    /// each PE's "gst write" energy, programming events and rejected
+    /// writes, then a signed MVM over the grid.
+    fn fingerprint(m: &mut TiledMatrix) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for pe in &m.pes {
+            let bank = pe.bank();
+            for r in 0..bank.rows() {
+                for c in 0..bank.cols() {
+                    bits.push(bank.weight(r, c).to_bits());
+                }
+            }
+            bits.push(pe.energy().get("gst write").value().to_bits());
+            bits.push(bank.program_events());
+            bits.push(bank.write_failures());
+        }
+        let x: Vec<f64> = (0..m.inp).map(|j| ((j * 7) % 10) as f64 / 10.0 - 0.45).collect();
+        let mut y = Vec::new();
+        m.mvm_signed(&x, &mut y, None);
+        bits.extend(y.iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn first_row_write_programs_the_whole_tile() {
+        // A KV-shaped 8×8 matrix on one 16×16 tile: half the tile's rows
+        // and columns are padding.
+        let w = matrix(8, 8);
+        let mut m = TiledMatrix::new(8, 8, |_| TileSeed::default());
+        let unprogrammed = m.pes[0].bank().weight(15, 15);
+        let mut twin = TiledMatrix::new(8, 8, |_| TileSeed::default());
+        m.program_row(&w, 3).unwrap();
+        program_whole_tiles(&mut twin, &w, [(0, 0)]);
+        assert_ne!(m.pes[0].bank().weight(15, 15), unprogrammed, "padding left unprogrammed");
+        assert_eq!(fingerprint(&mut m), fingerprint(&mut twin));
+
+        // Once synced, the next row write touches only its own row.
+        let mut w2 = w.clone();
+        for v in &mut w2[4 * 8..5 * 8] {
+            *v = -*v;
+        }
+        let events = m.pes[0].bank().program_events();
+        let spent = m.program_row(&w2, 4).unwrap();
+        let changed = (0..8).filter(|&j| w2[4 * 8 + j] != w[4 * 8 + j]).count();
+        assert_eq!(spent, EnergyPj(660.0) * changed as f64);
+        assert_eq!(m.pes[0].bank().program_events(), events + 1);
+        program_whole_tiles(&mut twin, &w2, [(0, 0)]);
+        assert_eq!(fingerprint(&mut m), fingerprint(&mut twin));
+    }
+
+    // ---- row/column writes vs whole-tile programs ----
+
+    use proptest::prelude::*;
+    use trident_pcm::gst::GstFault;
+    use trident_pcm::stat::StatParams;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Any sequence of row and column writes, bank faults and drift
+        /// leaves a grid bitwise where programming every tile each
+        /// write crosses, whole, leaves a twin: the same cell weights,
+        /// "gst write" energy, programming events, rejected writes and
+        /// MVM output, with and without the statistical layer.
+        #[test]
+        fn row_and_column_writes_match_full_tile_programs(
+            shape in (1usize..=20, 1usize..=20),
+            stat in 0usize..2,
+            ops in proptest::collection::vec((0usize..6, 0usize..40, -1.0f64..=1.0), 1..16),
+        ) {
+            let (out, inp) = shape;
+            let seed = |t: usize| TileSeed {
+                stat: (stat == 1).then_some((StatParams::default(), t as u64)),
+                ..TileSeed::default()
+            };
+            let mut lines = TiledMatrix::new(out, inp, seed);
+            let mut whole = TiledMatrix::new(out, inp, seed);
+            let mut w = vec![0.0; out * inp];
+            for &(op, i, v) in &ops {
+                match op {
+                    0 | 1 => {
+                        let r = i % out;
+                        for (j, x) in w[r * inp..(r + 1) * inp].iter_mut().enumerate() {
+                            *x = ((j + 1) as f64 * v).sin();
+                        }
+                        lines.program_row(&w, r).unwrap();
+                        let tiles = (0..whole.col_tiles).map(|ct| (r / TILE, ct));
+                        program_whole_tiles(&mut whole, &w, tiles);
+                    }
+                    2 | 3 => {
+                        let c = i % inp;
+                        for r in 0..out {
+                            w[r * inp + c] = ((r + 2) as f64 * v).cos();
+                        }
+                        lines.program_col(&w, c).unwrap();
+                        let tiles = (0..whole.row_tiles).map(|rt| (rt, c / TILE));
+                        program_whole_tiles(&mut whole, &w, tiles);
+                    }
+                    4 => {
+                        let fault = if v < 0.0 {
+                            GstFault::StuckAmorphous
+                        } else {
+                            GstFault::StuckCrystalline
+                        };
+                        let (t, r, c) = (i % lines.pes.len(), i % TILE, (i * 7) % TILE);
+                        for m in [&mut lines, &mut whole] {
+                            m.pes_mut()[t].bank_mut().inject_ring_fault(r, c, fault);
+                        }
+                    }
+                    _ => {
+                        for m in [&mut lines, &mut whole] {
+                            for pe in m.pes_mut() {
+                                pe.bank_mut().advance_years(v.abs());
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(fingerprint(&mut lines), fingerprint(&mut whole));
+            }
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!   token's key row and value column are programmed into per-head PCM
 //!   banks at decode time, after which the score MVM (`K·q`) and the
 //!   context MVM (`Vᵀ·probs`) read the whole cached prefix optically.
-//!   The banks **are** the KV-cache; incremental decode programs one
-//!   row/column band per token while a full recompute reprograms
+//!   The banks **are** the KV-cache; incremental decode writes one K row
+//!   and one V column per token (`d_head` cells each, after each tile's
+//!   first whole-tile write) while a full recompute reprograms
 //!   everything — the energy gap `workload::kv` quantifies.
 //! * **Digital LDSU ops** — softmax, LayerNorm, residual adds and the
 //!   mean-pool head run on the digital side with typed energy/time
@@ -36,7 +37,7 @@
 use crate::engine::GST_SLOPE;
 use crate::error::ArchError;
 use crate::pe::LOGIT_THRESHOLD;
-use crate::tiled::{self, TileSeed, TiledMatrix, TILE};
+use crate::tiled::{self, TileSeed, TiledMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
@@ -171,7 +172,7 @@ impl Projection {
 
     /// Signed MVM with partial sums billed to `extra`; the global scale
     /// is restored after accumulation.
-    fn mvm(&mut self, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
+    fn apply(&mut self, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
         self.banks.mvm_signed(x, y, Some(extra));
         for v in y.iter_mut() {
             *v *= self.scale;
@@ -230,12 +231,27 @@ pub struct PhotonicTransformer {
     scratch: DecodeScratch,
 }
 
-/// Scratch buffers for the per-token decode hot path: grown once on the
-/// first token, then reused — steady-state decode performs no heap
-/// allocation (the same contract `PhotonicMlp` serves under, enforced
-/// statically by trident-lint's `hot-path-alloc` walk).
+/// Scratch buffers for the per-token decode hot path: grown on the first
+/// token, then reused, so a warmed [`PhotonicTransformer::try_decode_token`]
+/// allocates only the logits it returns. `tests/alloc_counts.rs` pins
+/// that count at runtime; trident-lint's `hot-path-alloc` walk checks the
+/// same path statically.
 #[derive(Debug, Default)]
 struct DecodeScratch {
+    /// The decoded token's hidden state (`d_model` wide).
+    hidden: Vec<f64>,
+    /// A LayerNorm output (`d_model` wide).
+    normed: Vec<f64>,
+    /// Query, key and value projections (`d_model` wide each).
+    q: Vec<f64>,
+    k: Vec<f64>,
+    v: Vec<f64>,
+    /// Concatenated attention heads (`d_model` wide).
+    attn: Vec<f64>,
+    /// Attention output projection (`d_model` wide).
+    proj: Vec<f64>,
+    /// FFN output (`d_model` wide).
+    ffn_out: Vec<f64>,
     /// Attention score row (`max_seq` wide).
     scores: Vec<f64>,
     /// Re-scaled probability inputs to the Vᵀ bank (`max_seq` wide).
@@ -503,9 +519,15 @@ impl PhotonicTransformer {
 
     /// Append one token's K row and V column to block `b`'s per-head
     /// banks at position `t`, fixing the write-time scales, and program
-    /// the touched row/column bands. Billed as KV-cache traffic when the
+    /// just that row and column. Billed as KV-cache traffic when the
     /// model is causal.
-    fn append_kv(&mut self, b: usize, t: usize, k_tok: &[f64], v_tok: &[f64]) {
+    fn append_kv(
+        &mut self,
+        b: usize,
+        t: usize,
+        k_tok: &[f64],
+        v_tok: &[f64],
+    ) -> Result<(), ArchError> {
         let d_head = self.cfg.d_model / self.cfg.heads;
         let causal = self.cfg.causal;
         let mut spent = EnergyPj::ZERO;
@@ -523,8 +545,8 @@ impl PhotonicTransformer {
             for (r, &v) in vs.iter().enumerate() {
                 kv.v_logical[r * self.cfg.max_seq + t] = (v / v_max).clamp(-1.0, 1.0);
             }
-            spent += kv.k.program_row_band(&kv.k_logical, t / TILE);
-            spent += kv.v.program_col_band(&kv.v_logical, t / TILE);
+            spent += kv.k.program_row(&kv.k_logical, t)?;
+            spent += kv.v.program_col(&kv.v_logical, t)?;
         }
         if causal {
             let elems = 2 * self.cfg.d_model as u64;
@@ -532,6 +554,7 @@ impl PhotonicTransformer {
             obs::add(obs::Counter::KvCacheWrites, elems);
             obs::add_pj(obs::Counter::KvCacheFj, spent.value());
         }
+        Ok(())
     }
 
     /// Multi-head attention for one query at position `pos` (attends to
@@ -590,45 +613,58 @@ impl PhotonicTransformer {
         let mut s = std::mem::take(&mut self.scratch);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].w1.mvm(x, &mut s.h1, extra);
+            blocks[b].w1.apply(x, &mut s.h1, extra);
         }
         s.act.clear();
         s.act.resize(self.cfg.d_ff, 0.0);
         self.blocks[b].w1.banks.activate(&s.h1, &mut s.act);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].w2.mvm(&s.act, out, extra);
+            blocks[b].w2.apply(&s.act, out, extra);
         }
         self.scratch = s;
     }
 
     /// Attention-sublayer front half for one token of block `b`:
-    /// LayerNorm, Q/K/V projections, and the K/V append at position `t`.
-    /// Returns the query.
-    fn project_qkv(&mut self, b: usize, t: usize, hidden: &[f64]) -> Vec<f64> {
-        let mut normed = Vec::new();
-        let (mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
+    /// LayerNorm, Q/K/V projections into `q` and scratch, and the K/V
+    /// append at position `t`.
+    fn project_qkv(
+        &mut self,
+        b: usize,
+        t: usize,
+        hidden: &[f64],
+        q: &mut Vec<f64>,
+    ) -> Result<(), ArchError> {
+        let s = &mut self.scratch;
+        let (mut normed, mut k, mut v) =
+            (std::mem::take(&mut s.normed), std::mem::take(&mut s.k), std::mem::take(&mut s.v));
         self.ldsu_layer_norm(Ln::Attention(b), hidden, &mut normed);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].wq.mvm(&normed, &mut q, extra);
-            blocks[b].wk.mvm(&normed, &mut k, extra);
-            blocks[b].wv.mvm(&normed, &mut v, extra);
+            blocks[b].wq.apply(&normed, q, extra);
+            blocks[b].wk.apply(&normed, &mut k, extra);
+            blocks[b].wv.apply(&normed, &mut v, extra);
         }
-        self.append_kv(b, t, &k, &v);
-        q
+        let appended = self.append_kv(b, t, &k, &v);
+        (self.scratch.normed, self.scratch.k, self.scratch.v) = (normed, k, v);
+        appended
     }
 
     /// The rest of block `b` for one token: attention over cache rows
     /// `0..limit`, output projection and residual, then the pre-norm FFN
     /// sublayer and its residual.
     fn finish_token(&mut self, b: usize, q: &[f64], limit: usize, hidden: &mut [f64]) {
-        let (mut attn, mut proj, mut normed, mut ffn_out) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let s = &mut self.scratch;
+        let (mut attn, mut proj, mut normed, mut ffn_out) = (
+            std::mem::take(&mut s.attn),
+            std::mem::take(&mut s.proj),
+            std::mem::take(&mut s.normed),
+            std::mem::take(&mut s.ffn_out),
+        );
         self.attention(b, q, limit, &mut attn);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].wo.mvm(&attn, &mut proj, extra);
+            blocks[b].wo.apply(&attn, &mut proj, extra);
         }
         for (hv, &p) in hidden.iter_mut().zip(&proj) {
             *hv += p;
@@ -640,22 +676,37 @@ impl PhotonicTransformer {
             *hv += p;
         }
         self.ldsu_residual(self.cfg.d_model);
+        let s = &mut self.scratch;
+        (s.attn, s.proj, s.normed, s.ffn_out) = (attn, proj, normed, ffn_out);
     }
 
     /// One token through block `b` (decoder schedule): append its K/V at
     /// position `t`, then attend over `0..limit`.
-    fn block_step(&mut self, b: usize, t: usize, limit: usize, hidden: &mut [f64]) {
-        let q = self.project_qkv(b, t, hidden);
-        self.finish_token(b, &q, limit, hidden);
+    fn block_step(
+        &mut self,
+        b: usize,
+        t: usize,
+        limit: usize,
+        hidden: &mut [f64],
+    ) -> Result<(), ArchError> {
+        let mut q = std::mem::take(&mut self.scratch.q);
+        let appended = self.project_qkv(b, t, hidden, &mut q);
+        if appended.is_ok() {
+            self.finish_token(b, &q, limit, hidden);
+        }
+        self.scratch.q = q;
+        appended
     }
 
-    /// Final LayerNorm + head MVM for one `d_model`-wide vector.
+    /// Final LayerNorm + head MVM for one `d_model`-wide vector. The
+    /// returned logits are the one allocation.
     fn head_logits(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut normed = Vec::new();
+        let mut normed = std::mem::take(&mut self.scratch.normed);
         self.ldsu_layer_norm(Ln::Final, x, &mut normed);
         let mut logits = Vec::new();
         let (head, extra) = (&mut self.head, &mut self.extra_energy);
-        head.mvm(&normed, &mut logits, extra);
+        head.apply(&normed, &mut logits, extra);
+        self.scratch.normed = normed;
         logits
     }
 
@@ -699,10 +750,10 @@ impl PhotonicTransformer {
                 for (t, tok) in hidden.iter_mut().enumerate() {
                     self.cache_len = t;
                     // block_step appends at t and attends over 0..=t.
-                    self.block_step(b, t, t + 1, tok);
+                    self.block_step(b, t, t + 1, tok)?;
                 }
             } else {
-                encoder_block(self, b, &mut hidden, seq);
+                encoder_block(self, b, &mut hidden, seq)?;
             }
         }
         self.cache_len = seq;
@@ -743,8 +794,9 @@ impl PhotonicTransformer {
     }
 
     /// Decode one token through the KV-cache path: appends the token's
-    /// K/V to every block's banks (one row/column band program each) and
-    /// returns its `out_dim` logits. Errors when the context is full.
+    /// K/V to every block's banks (one K row and one V column write per
+    /// head) and returns its `out_dim` logits. Errors when the context is
+    /// full.
     pub fn try_decode_token(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
         self.check_token_width(x.len())?;
         if self.cache_len >= self.cfg.max_seq {
@@ -754,12 +806,17 @@ impl PhotonicTransformer {
             });
         }
         let t = self.cache_len;
-        let mut hidden = x.to_vec();
-        for b in 0..self.blocks.len() {
-            self.block_step(b, t, t + 1, &mut hidden);
+        let mut hidden = std::mem::take(&mut self.scratch.hidden);
+        hidden.clear();
+        hidden.extend_from_slice(x);
+        let decoded = (0..self.blocks.len())
+            .try_for_each(|b| self.block_step(b, t, t + 1, &mut hidden))
+            .map(|()| self.head_logits(&hidden));
+        self.scratch.hidden = hidden;
+        if decoded.is_ok() {
+            self.cache_len = t + 1;
         }
-        self.cache_len = t + 1;
-        Ok(self.head_logits(&hidden))
+        decoded
     }
 
     /// Batched classifier forward for the serving fleet: one
@@ -872,14 +929,22 @@ impl PhotonicTransformer {
 /// arithmetic is identical to [`PhotonicTransformer::block_step`]; only
 /// the append/attend interleaving differs (encoders have no causal
 /// frontier to respect).
-fn encoder_block(tx: &mut PhotonicTransformer, b: usize, hidden: &mut [Vec<f64>], seq: usize) {
+fn encoder_block(
+    tx: &mut PhotonicTransformer,
+    b: usize,
+    hidden: &mut [Vec<f64>],
+    seq: usize,
+) -> Result<(), ArchError> {
     let mut q_all = Vec::with_capacity(seq);
     for (t, tok) in hidden.iter().enumerate() {
-        q_all.push(tx.project_qkv(b, t, tok));
+        let mut q = Vec::new();
+        tx.project_qkv(b, t, tok, &mut q)?;
+        q_all.push(q);
     }
     for (tok, q) in hidden.iter_mut().zip(&q_all) {
         tx.finish_token(b, q, seq, tok);
     }
+    Ok(())
 }
 
 #[cfg(test)]

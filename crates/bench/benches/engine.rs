@@ -19,7 +19,11 @@ fn pe_modes(c: &mut Criterion) {
         let mut pe = ProcessingElement::new(16, 16, None);
         pe.program(&weights);
         let x: Vec<f64> = (0..16).map(|i| (i as f64 - 8.0) / 8.0).collect();
-        b.iter(|| black_box(pe.mvm_signed(black_box(&x))))
+        let mut y = [0.0; 16];
+        b.iter(|| {
+            pe.mvm_signed_into(black_box(&x), &mut y);
+            black_box(y[0])
+        })
     });
     c.bench_function("pe_outer_product_16x16", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);

@@ -49,7 +49,8 @@ pub fn run() -> Vec<Row> {
     let mut pe2 = ProcessingElement::new(4, 4, None);
     pe2.program(&wt);
     let delta = [0.3, -0.7, 0.2, 0.5];
-    let v = pe2.mvm_signed(&delta);
+    let mut v = [0.0; 4];
+    pe2.mvm_signed_into(&delta, &mut v);
     let mut err_grad: f64 = 0.0;
     for j in 0..4 {
         let want: f64 = (0..4).map(|i| w[i * 4 + j] * delta[i]).sum();

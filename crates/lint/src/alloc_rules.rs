@@ -19,10 +19,6 @@
 //! * **construction & warm-up** — `new*`/`with_*`/`from_*`/`build*`/
 //!   `try_build*`/`default`/`reserve*` run once per fleet, before the
 //!   first request; growing scratch to capacity is their whole job.
-//! * **the device model** — `mvm_unsigned` / `latch_and_activate` /
-//!   `outer_product` model the photonic crossbar's internal dataflow
-//!   (per-tile optics, LDSU latches); their temporaries stand in for
-//!   hardware registers, not host memory (DESIGN.md §15).
 //! * **the arena** — `take` / `give` are the sanctioned allocator: a
 //!   slab miss growing the pool *is* the warm-up path, and it is what
 //!   the `HotPathAllocs` gauge counts.
@@ -57,16 +53,11 @@ pub const ENTRY_POINTS: &[&str] = &[
 /// constructor in all but prefix.
 const STOP_PREFIXES: &[&str] = &["new", "with_", "from_", "build", "try_build", "reserve"];
 
-/// Exact names pruned from the walk: the device-model boundary, the
-/// arena's sanctioned allocator surface, and `zeros` (a constructor).
-/// `mvm` / `mvm_signed` are the bank's raw and dual-rail optical reads
-/// and `program_flat` the GST write pulse train — the same device-model
-/// category as `mvm_unsigned`: their temporaries stand in for on-chip
-/// dataflow, not host memory.
-const STOP_NAMES: &[&str] = &[
-    "default", "mvm", "mvm_unsigned", "mvm_signed", "latch_and_activate", "outer_product",
-    "program_flat", "take", "give", "zeros",
-];
+/// Exact names pruned from the walk: `default`, the arena's sanctioned
+/// allocator surface, and `zeros` (a constructor). The device model has
+/// no exemption: bank and PE reads on the serving path write into
+/// caller buffers and PE-owned scratch, so the walk runs through them.
+const STOP_NAMES: &[&str] = &["default", "take", "give", "zeros"];
 
 /// Names whose call edges are meaningless under name-based resolution:
 /// iterator-adapter and container methods (`.map(…)`, `.filter(…)`, …)
@@ -198,14 +189,26 @@ mod tests {
     }
 
     #[test]
-    fn constructors_and_device_model_are_boundaries() {
+    fn constructors_and_the_arena_are_boundaries() {
         let hits = check_src(&[(
             "crates/arch/src/engine.rs",
-            "pub fn try_forward_batch(n: usize) { mvm_unsigned(n); with_scratch(n); }\n\
-             fn mvm_unsigned(n: usize) { let v = vec![0.0; n]; drop(v); }\n\
+            "pub fn try_forward_batch(n: usize) { take(n); with_scratch(n); }\n\
+             fn take(n: usize) { let v = vec![0.0; n]; drop(v); }\n\
              fn with_scratch(n: usize) { let v: Vec<u8> = Vec::with_capacity(n); drop(v); }",
         )]);
         assert!(hits.is_empty(), "boundary fns must not be flagged: {hits:?}");
+    }
+
+    #[test]
+    fn device_model_reads_are_not_boundaries() {
+        let hits = check_src(&[(
+            "crates/arch/src/pe.rs",
+            "pub fn try_forward_batch(n: usize) { mvm_signed(n); latch_and_activate(n); }\n\
+             fn mvm_signed(n: usize) { let v = vec![0.0; n]; drop(v); }\n\
+             fn latch_and_activate(n: usize) -> Vec<usize> { (0..n).collect() }",
+        )]);
+        let scopes: Vec<_> = hits.iter().filter_map(|f| f.scope.as_deref()).collect();
+        assert_eq!(scopes, ["mvm_signed", "latch_and_activate"], "{hits:?}");
     }
 
     #[test]

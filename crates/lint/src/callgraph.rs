@@ -147,7 +147,7 @@ impl CallGraph {
     /// `entries` through call edges, including the entries themselves.
     /// `stop` prunes the walk — a stopped name is neither included nor
     /// expanded, which is how callers carve out sanctioned boundaries
-    /// (constructors, the device model). Name-based like everything
+    /// (constructors, the arena). Name-based like everything
     /// here, so the set over-approximates: exactly what a "must not
     /// allocate" rule wants (a false extra reachable fn is a finding a
     /// human reviews once; a missed one is a silent hole).

@@ -35,7 +35,13 @@ macro_rules! ledger {
                     amount.is_finite() && amount.value() >= 0.0,
                     "ledger charge for {item:?} must be finite and non-negative, got {amount}"
                 );
-                *self.entries.entry(item.to_string()).or_default() += amount;
+                // Only the first charge of an item allocates its key.
+                match self.entries.get_mut(item) {
+                    Some(entry) => *entry += amount,
+                    None => {
+                        self.entries.insert(item.to_string(), <$unit>::default() + amount);
+                    }
+                }
             }
 
             /// Current value of a line item (zero when absent).
