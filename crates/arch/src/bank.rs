@@ -22,13 +22,34 @@
 //! [`AddDropMrr::drive`] and a few multiply-adds per channel.
 //!
 //! That work is also deferred to the first read after a change: writes,
-//! masking, remapping, fault injection and aging only mark the slot and
-//! its row stale. [`WeightBank::mvm`] and [`WeightBank::mvm_stat`] settle
+//! masking, remapping, fault injection and aging only mark the slot's
+//! row stale. [`WeightBank::mvm`] and [`WeightBank::mvm_stat`] settle
 //! every stale row before reading, [`WeightBank::ring_readout`] only its
-//! own row; settling refreshes the stale slots' transfer cache and
-//! recomputes that row's response. A read of a bank with nothing stale
-//! pays one branch. The outer-product mode's zero rows, rewritten before
-//! anything reads them, never have their optics computed.
+//! own row. A read of a bank with nothing stale pays one branch.
+//!
+//! Three caches skip work that provably changes nothing, so every
+//! output, energy, wear count and noise draw is what the uncached bank
+//! produces:
+//!
+//! 1. **Landed weights.** Each slot records the weight its last
+//!    open-loop write landed. A repeat returns before the level search:
+//!    the cell would take its no-op branch (zero energy, no wear, no
+//!    statistical draw). Verified writes, remaps, faults and aging
+//!    forget the slot's weight, since they can move the cell without an
+//!    open-loop write. A rejected write leaves the cell, and so the
+//!    landed weight, as it was.
+//! 2. **Optics keyed by state.** Each slot keeps the state its transfer
+//!    cache was computed for (crystallinity bits, or masked). The entry
+//!    is a pure function of that state and the ring's resonance, so
+//!    settling refreshes only slots whose state differs, and recomputes
+//!    the row's response only if it refreshed one. A cell written
+//!    W → 0 → W between two reads costs nothing. A remap moves the
+//!    resonance, so it resets the key.
+//! 3. **Drive per level.** A cell holding a calibrated level bit for bit
+//!    reads its [`AddDropMrr::drive`] from the LUT
+//!    ([`WeightLut::drive_for`]): the drive depends only on the ring
+//!    geometry, the GST recipe and the crystallinity, and the table was
+//!    computed from the same three. Any other state computes it.
 
 use crate::error::ArchError;
 use rand::rngs::StdRng;
@@ -46,6 +67,14 @@ use trident_photonics::wdm::WdmGrid;
 /// Spare rings fabricated alongside each row for wear-leveling remap
 /// (12.5% redundancy on the paper's 16-wide banks).
 pub const DEFAULT_SPARES_PER_ROW: usize = 2;
+
+/// [`WeightBank::optics_key`] sentinel: the slot's optics were never
+/// computed, or were computed for a ring since replaced. No crystallinity
+/// in `[0, 1]` has these bits.
+const UNCOMPUTED: u64 = u64::MAX;
+
+/// [`WeightBank::optics_key`] of a masked slot (another NaN pattern).
+const MASKED: u64 = u64::MAX - 1;
 
 /// Accounting record of one fault-aware bank programming event
 /// (the closed-loop [`WeightBank::try_program_verified`] path).
@@ -124,13 +153,17 @@ pub struct WeightBank {
     /// refreshed only for rings whose state changed, so reprogramming
     /// during training stays cheap.
     transfer_cache: Vec<(f64, f64)>,
+    /// The state each slot's `transfer_cache` entries were computed for
+    /// ([`WeightBank::optics_key`]), or [`UNCOMPUTED`].
+    optics_for: Vec<u64>,
+    /// The weight each slot's last open-loop write landed, or NaN when
+    /// the cell may since have left it.
+    landed: Vec<f64>,
     /// Cached linear drop response `[row][channel]`.
     drop_coeff: Vec<f64>,
     /// Cached linear through response `[row][channel]`.
     through_coeff: Vec<f64>,
-    /// Slots whose `transfer_cache` entries predate their ring's state.
-    stale_slots: Vec<bool>,
-    /// Rows whose response predates a change to one of their slots.
+    /// Rows whose response may predate a change to one of their slots.
     stale_rows: Vec<bool>,
     /// Whether any row may be stale — the one branch a clean read pays.
     stale: bool,
@@ -241,9 +274,10 @@ impl WeightBank {
             remapped: 0,
             half_phase,
             transfer_cache: vec![(0.0, 0.0); rows * cols * cols],
+            optics_for: vec![UNCOMPUTED; rows * cols],
+            landed: vec![f64::NAN; rows * cols],
             drop_coeff: vec![0.0; rows * cols],
             through_coeff: vec![0.0; rows * cols],
-            stale_slots: vec![true; rows * cols],
             stale_rows: vec![true; rows],
             stale: true,
             program_events: 0,
@@ -274,17 +308,29 @@ impl WeightBank {
             cache.fill((0.0, 1.0));
             return;
         }
-        let drive = self.rings[idx].drive();
+        let ring = &self.rings[idx];
+        let drive = self.lut.drive_for(ring).unwrap_or_else(|| ring.drive());
         for (t, &s) in cache.iter_mut().zip(&self.half_phase[phase_lo..phase_lo + cols]) {
             let port = drive.at(s);
             *t = (port.drop, port.through);
         }
     }
 
-    /// Record that slot `idx`'s optics changed; the physics runs when its
-    /// row is next read.
+    /// The state slot `idx`'s transfer is a function of, given its ring's
+    /// resonance: [`MASKED`] for a masked slot, else its cell's
+    /// crystallinity bits.
+    #[inline]
+    fn optics_key(&self, idx: usize) -> u64 {
+        if self.masked[idx] {
+            MASKED
+        } else {
+            self.rings[idx].cell().crystallinity().to_bits()
+        }
+    }
+
+    /// Record that slot `idx`'s state may have changed; its row settles
+    /// when it is next read.
     fn mark_stale(&mut self, idx: usize) {
-        self.stale_slots[idx] = true;
         self.stale_rows[idx / self.cols] = true;
         self.stale = true;
     }
@@ -293,26 +339,40 @@ impl WeightBank {
     #[inline]
     fn settle(&mut self) {
         if self.stale {
-            for r in 0..self.rows {
-                self.settle_row(r);
-            }
-            self.stale = false;
+            self.settle_rows();
         }
     }
 
-    /// Refresh row `r`'s stale slots and recompute its response.
+    /// The body of [`Self::settle`], kept out of line so a clean read
+    /// inlines only its branch.
+    #[inline(never)]
+    fn settle_rows(&mut self) {
+        for r in 0..self.rows {
+            self.settle_row(r);
+        }
+        self.stale = false;
+    }
+
+    /// Refresh the slots of a stale row `r` whose state differs from the
+    /// one their optics were computed for, and recompute the row's
+    /// response if any was refreshed.
     #[inline]
     fn settle_row(&mut self, r: usize) {
         if !self.stale_rows[r] {
             return;
         }
+        let mut refreshed = false;
         for idx in r * self.cols..(r + 1) * self.cols {
-            if self.stale_slots[idx] {
+            let key = self.optics_key(idx);
+            if key != self.optics_for[idx] {
                 self.refresh_ring_cache(idx);
-                self.stale_slots[idx] = false;
+                self.optics_for[idx] = key;
+                refreshed = true;
             }
         }
-        self.recompute_row_response(r);
+        if refreshed {
+            self.recompute_row_response(r);
+        }
         self.stale_rows[r] = false;
     }
 
@@ -324,11 +384,20 @@ impl WeightBank {
         let phase_rings = self.half_phase.len() / self.cols;
         self.half_phase = half_phase_table(&self.rings[..phase_rings], &self.grid);
         self.transfer_cache.fill((f64::NAN, f64::NAN));
+        self.optics_for.fill(UNCOMPUTED);
         self.drop_coeff.fill(f64::NAN);
         self.through_coeff.fill(f64::NAN);
         for idx in 0..self.rings.len() {
             self.mark_stale(idx);
         }
+    }
+
+    /// Forget every slot's landed weight, so every open-loop write runs
+    /// the cell's own no-op check: the reference the write-skip tests
+    /// compare against (the twin of [`Self::mark_all_stale`]).
+    #[cfg(test)]
+    fn forget_landed(&mut self) {
+        self.landed.fill(f64::NAN);
     }
 
     /// Bank rows (J).
@@ -414,16 +483,24 @@ impl WeightBank {
     /// stuck or worn cell is tallied on the ring, flagged on `pass`, and
     /// leaves the old state on the bus. Only an out-of-range weight (a
     /// caller bug) is an error.
+    ///
+    /// A repeat of the weight the slot last landed returns at once: the
+    /// cell would take its no-op branch (zero energy, no wear, no
+    /// statistical draw), so skipping it changes nothing.
     fn write_slot(&mut self, idx: usize, w: f64, pass: &mut OpenLoopPass) -> Result<(), PcmError> {
-        if self.masked[idx] {
+        // Exact equality is the point; NaN (unknown) equals nothing.
+        #[allow(clippy::float_cmp)]
+        let repeat = w == self.landed[idx];
+        if self.masked[idx] || repeat {
             return Ok(());
         }
         match self.rings[idx].try_set_weight(w, &self.lut) {
             Ok(e) => {
+                self.landed[idx] = w;
                 if e.value() > 0.0 {
                     pass.energy += e;
                     self.mark_stale(idx);
-                    self.stat_on_write(idx, w);
+                    self.stat_on_write(idx);
                 }
                 Ok(())
             }
@@ -560,6 +637,7 @@ impl WeightBank {
         report: &mut ProgramReport,
     ) -> Result<bool, ArchError> {
         let idx = r * self.cols + c;
+        self.landed[idx] = f64::NAN;
         let mut remapped_retry = false;
         loop {
             match self.rings[idx].set_weight_verified(w, &self.lut, policy, rng) {
@@ -575,7 +653,7 @@ impl WeightBank {
                             report.retried_cells += 1;
                         }
                         self.mark_stale(idx);
-                        self.stat_on_write(idx, w);
+                        self.stat_on_write(idx);
                         return Ok(true);
                     }
                     return Ok(remapped_retry);
@@ -620,6 +698,8 @@ impl WeightBank {
             *s = ring.half_phase_sin_ratio(lambda);
         }
         self.masked[idx] = false;
+        self.optics_for[idx] = UNCOMPUTED;
+        self.landed[idx] = f64::NAN;
         self.mark_stale(idx);
         Ok(())
     }
@@ -634,8 +714,10 @@ impl WeightBank {
     /// Pin the GST cell at `(r, c)` in a hard fault state (the cell's
     /// transfer snaps to the stuck phase).
     pub fn inject_ring_fault(&mut self, r: usize, c: usize, fault: GstFault) {
-        self.rings[r * self.cols + c].inject_fault(fault);
-        self.mark_stale(r * self.cols + c);
+        let idx = r * self.cols + c;
+        self.rings[idx].inject_fault(fault);
+        self.landed[idx] = f64::NAN;
+        self.mark_stale(idx);
     }
 
     /// Age every GST cell by `years` of crystallinity drift and refresh
@@ -689,6 +771,7 @@ impl WeightBank {
         for ring in &mut self.rings {
             ring.age(years);
         }
+        self.landed.fill(f64::NAN);
         for idx in 0..self.rings.len() {
             self.mark_stale(idx);
         }
@@ -746,14 +829,14 @@ impl WeightBank {
     }
 
     /// Statistical bookkeeping for one successful write at `idx`: draw
-    /// the level-dependent programming error, restart the slot's drift
-    /// (a rewrite re-amorphizes the mark), and refresh the reference
-    /// column alongside.
-    fn stat_on_write(&mut self, idx: usize, w: f64) {
+    /// the programming error of the level the write landed, restart the
+    /// slot's drift (a rewrite re-amorphizes the mark), and refresh the
+    /// reference column alongside.
+    fn stat_on_write(&mut self, idx: usize) {
         if self.stat.is_none() {
             return;
         }
-        let level = self.lut.level_for(w);
+        let level = self.rings[idx].cell().level();
         let levels = self.lut.levels();
         let now = self.clock.now();
         let Some(stat) = self.stat.as_mut() else { return };
@@ -1341,6 +1424,124 @@ mod tests {
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "read {i}: incremental {g} vs rebuilt {w}");
         }
+        // The rebuilt optics are the ring physics itself, with no help
+        // from the LUT's drive table.
+        let cols = fresh.cols;
+        for idx in (0..fresh.rings.len()).filter(|&i| !fresh.masked[i]) {
+            let drive = fresh.rings[idx].drive();
+            let phases = &fresh.half_phase[fresh.phase_ring(idx) * cols..][..cols];
+            let cache = &fresh.transfer_cache[idx * cols..][..cols];
+            for (&(drop, through), &s) in cache.iter().zip(phases) {
+                let port = drive.at(s);
+                assert_eq!(drop.to_bits(), port.drop.to_bits(), "slot {idx} drop");
+                assert_eq!(through.to_bits(), port.through.to_bits(), "slot {idx} through");
+            }
+        }
+    }
+
+    /// Weights an open-loop row write picks from; repeats are the point.
+    const PALETTE: [f64; 4] = [0.0, 0.5, -1.0, 0.25];
+
+    /// Operation `op` of the write-skip proptest on `bank`, with its
+    /// outcome in `Debug` form (float `Debug` round-trips, so equal
+    /// strings are equal bits).
+    fn apply(bank: &mut WeightBank, step: u64, op: usize, a: usize, b: usize, k: usize) -> String {
+        let (rows, cols) = (bank.rows(), bank.cols());
+        let (r, c) = (a % rows, b % cols);
+        let key = k as f64;
+        match op {
+            0 => format!("{:?}", bank.program_flat(&pattern(rows * cols, key))),
+            1 => {
+                // Outer-product mode: y on row 0, zeros elsewhere.
+                let mut tile = vec![0.0; rows * cols];
+                tile[..cols].copy_from_slice(&pattern(cols, key));
+                format!("{:?}", bank.program_flat(&tile))
+            }
+            2 => {
+                // One row, sometimes with an out-of-range weight mid-row.
+                let slots = (0..cols).map(|j| {
+                    let w = if k == 3 && j == c { 1.5 } else { PALETTE[(j + k) % PALETTE.len()] };
+                    (r * cols + j, w)
+                });
+                format!("{:?}", bank.try_program_slots(slots))
+            }
+            3 => {
+                bank.advance_years(0.5 * (key + 1.0));
+                String::new()
+            }
+            4 => {
+                let fault =
+                    if k < 2 { GstFault::StuckAmorphous } else { GstFault::StuckCrystalline };
+                bank.inject_ring_fault(r, c, fault);
+                String::new()
+            }
+            5 => {
+                bank.mask_ring(r, c);
+                String::new()
+            }
+            6 => format!("{:?}", bank.remap_ring(r, c)),
+            7 => {
+                let policy = WriteVerifyPolicy::default();
+                let mut rng = StdRng::seed_from_u64(step);
+                let w = pattern(rows * cols, key);
+                format!("{:?}", bank.try_program_verified(&w, &policy, &mut rng))
+            }
+            _ => {
+                if !bank.stat_enabled() {
+                    bank.enable_stat(StatParams::default(), 3);
+                }
+                String::new()
+            }
+        }
+    }
+
+    /// Everything the write-skip proptest compares after an operation:
+    /// events, failures, wear, the energy every ring has spent, and the
+    /// deterministic and statistical reads.
+    fn observe(bank: &mut WeightBank) -> String {
+        let x: Vec<f64> = (0..bank.cols()).map(|j| [0.9, 0.3, 1.0, 0.55, 0.0][j % 5]).collect();
+        let energy: EnergyPj = bank.rings.iter().map(PcmMrr::energy_spent).sum();
+        format!(
+            "{} {} {} {:?} {:?} {:?}",
+            bank.program_events(),
+            bank.write_failures(),
+            bank.max_ring_writes(),
+            energy,
+            bank.mvm(&x),
+            bank.mvm_stat(&x)
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Skipping a repeat of a slot's landed weight changes nothing:
+        /// a bank and a twin that forgets every landed weight before each
+        /// operation (so every write runs the cell's own no-op check)
+        /// spend the same energy, count the same events, failures and
+        /// wear, and read the same bits.
+        #[test]
+        fn skipped_repeat_writes_match_a_bank_that_writes_them(
+            shape in (1usize..=4, 2usize..=5),
+            short_lived in 0usize..2,
+            ops in proptest::collection::vec(
+                (0usize..9, 0usize..8, 0usize..8, 0usize..4),
+                1..16,
+            ),
+        ) {
+            let (rows, cols) = shape;
+            // Short-lived cells wear out mid-sequence and reject writes.
+            let endurance_cycles = if short_lived == 1 { 6 } else { 1_000_000_000_000 };
+            let params = GstParameters { endurance_cycles, ..GstParameters::default() };
+            let mut bank = WeightBank::new(rows, cols, params);
+            let mut twin = bank.clone();
+            for (step, &(op, a, b, k)) in (0u64..).zip(&ops) {
+                twin.forget_landed();
+                let got = (apply(&mut bank, step, op, a, b, k), observe(&mut bank));
+                let want = (apply(&mut twin, step, op, a, b, k), observe(&mut twin));
+                prop_assert_eq!(got, want, "step {} op {}", step, op);
+            }
+        }
     }
 
     proptest! {
@@ -1356,7 +1557,7 @@ mod tests {
             varied in 0usize..2,
             stat_at_start in 0usize..2,
             ops in proptest::collection::vec(
-                (0usize..10, 0usize..8, 0usize..8, -1.0f64..=1.0),
+                (0usize..12, 0usize..8, 0usize..8, -1.0f64..=1.0),
                 1..20,
             ),
         ) {
@@ -1409,8 +1610,24 @@ mod tests {
                     8 => {
                         bank.ring_readout(r, c);
                     }
+                    9 => {
+                        bank.mvm(&vec![0.5; cols]);
+                    }
+                    // Optics computed for W, then W → 0 → W with no read
+                    // in between: the cells come back to the state their
+                    // cached optics were computed for.
+                    10 => {
+                        let w = pattern(rows * cols, v);
+                        bank.program_flat(&w);
+                        bank.mvm(&vec![0.5; cols]);
+                        bank.program_flat(&vec![0.0; rows * cols]);
+                        bank.program_flat(&w);
+                    }
+                    // Aging between reads moves cells off their calibrated
+                    // crystallinity, off the LUT's drive table.
                     _ => {
                         bank.mvm(&vec![0.5; cols]);
+                        bank.advance_years(v.abs() + 0.1);
                     }
                 }
                 assert_matches_rebuild(&bank, step % 2 == 0);

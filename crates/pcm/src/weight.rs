@@ -20,12 +20,18 @@
 //! write/read pulses. The LUT performs that calibration by bisecting the
 //! monotone physics curve, yielding uniform 8-bit weights whose LSB the
 //! property tests bound.
+//!
+//! The table also keeps each level's ring drive ([`AddDropMrr::drive`] at
+//! the level's calibrated crystallinity). The drive depends only on the
+//! ring geometry, the GST recipe and the crystallinity, so a cell that
+//! holds a calibrated level bit for bit reads its drive from the table
+//! ([`WeightLut::drive_for`]) instead of solving for it.
 
 use crate::error::PcmError;
 use crate::gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use trident_photonics::mrr::{AddDropMrr, MrrDrive, PortTransfer};
+use trident_photonics::mrr::{AddDropMrr, MrrDrive, MrrGeometry, PortTransfer};
 use trident_photonics::units::{EnergyPj, Wavelength};
 
 /// Calibration table from target weight to (GST level, crystallinity) for
@@ -40,8 +46,14 @@ pub struct WeightLut {
     raw_by_level: Vec<f64>,
     /// Calibrated crystallinity realising each level.
     crystallinity_by_level: Vec<f64>,
+    /// Ring drive at each level's calibrated crystallinity.
+    drive_by_level: Vec<MrrDrive>,
     /// Scale applied to normalized weights: `w_raw = scale * w`.
     scale: f64,
+    /// The ring design the table was calibrated on.
+    geometry: MrrGeometry,
+    /// The GST recipe the table was calibrated with.
+    params: GstParameters,
 }
 
 impl WeightLut {
@@ -61,8 +73,10 @@ impl WeightLut {
         // Symmetric full scale: |w| = 1 must be reachable on both signs.
         let scale = max.min(-min);
         let levels = params.levels as usize;
+        let on_resonance = ring.half_phase_sin_ratio(ring.resonance());
         let mut raw_by_level = Vec::with_capacity(levels);
         let mut crystallinity_by_level = Vec::with_capacity(levels);
+        let mut drive_by_level = Vec::with_capacity(levels);
         for lvl in 0..levels {
             // Level 0 = +scale (most amorphous used), last = -scale.
             let target = scale - 2.0 * scale * lvl as f64 / (levels - 1) as f64;
@@ -77,10 +91,38 @@ impl WeightLut {
                 }
             }
             let c = 0.5 * (lo + hi);
-            raw_by_level.push(raw_of(c));
+            // `raw_of(c)`, keeping the drive it is computed from.
+            let drive = ring.drive(params.amplitude_at(c));
+            let t = drive.at(on_resonance);
+            raw_by_level.push(t.drop - t.through);
             crystallinity_by_level.push(c);
+            drive_by_level.push(drive);
         }
-        Self { raw_by_level, crystallinity_by_level, scale }
+        Self {
+            raw_by_level,
+            crystallinity_by_level,
+            drive_by_level,
+            scale,
+            geometry: *ring.geometry(),
+            params: *params,
+        }
+    }
+
+    /// The ring drive of `unit` in its current state, read from the
+    /// table: bitwise what [`PcmMrr::drive`] computes, because the unit
+    /// has the geometry and GST recipe the table was calibrated for and
+    /// its cell holds its level's calibrated crystallinity bit for bit.
+    /// `None` for any other state (an aged or verify-written cell) and
+    /// for a unit of another design or recipe; the caller then computes
+    /// the drive.
+    pub fn drive_for(&self, unit: &PcmMrr) -> Option<MrrDrive> {
+        let cell = unit.cell();
+        let level = usize::from(cell.level());
+        let calibrated = self.crystallinity_by_level.get(level)?;
+        let hit = cell.crystallinity().to_bits() == calibrated.to_bits()
+            && unit.ring().geometry() == &self.geometry
+            && cell.params() == &self.params;
+        hit.then(|| self.drive_by_level[level])
     }
 
     /// Number of levels.
@@ -461,6 +503,44 @@ mod tests {
         let l = lut();
         assert!(matches!(l.try_level_for(1.5), Err(PcmError::WeightOutOfRange(_))));
         assert!(l.try_level_for(0.5).is_ok());
+    }
+
+    #[test]
+    fn drive_table_is_bitwise_the_computed_drive() {
+        use trident_photonics::wdm::WdmGrid;
+        let params = GstParameters::default();
+        let ring = AddDropMrr::new(MrrGeometry::weight_bank(), WdmGrid::c_band(16).channel(0));
+        let l = WeightLut::build(&ring, &params);
+        let mut unit = PcmMrr::new(ring, params);
+        // Top down, so every write changes the level: a fresh cell's
+        // crystallinity 0 already passes for level 0, without its bits.
+        for lvl in (0..l.levels()).rev() {
+            let c = l.crystallinity_at(lvl);
+            unit.cell.try_program_calibrated(lvl, c).unwrap();
+            // Float `Debug` round-trips, so equal strings are equal bits.
+            let want = format!("{:?}", ring.drive(params.amplitude_at(c)));
+            let got = l.drive_for(&unit).expect("a calibrated level is in the table");
+            assert_eq!(format!("{got:?}"), want, "level {lvl}");
+            assert_eq!(format!("{:?}", unit.drive()), want, "level {lvl}");
+        }
+        // An aged cell has left its calibrated crystallinity.
+        unit.try_set_weight(0.3, &l).unwrap();
+        assert!(l.drive_for(&unit).is_some());
+        unit.age(1.0);
+        assert_ne!(unit.cell().crystallinity(), l.crystallinity_at(unit.cell().level()));
+        assert_eq!(l.drive_for(&unit), None, "aged cell");
+        // A unit of another ring design or GST recipe is not the table's.
+        let geometry = MrrGeometry { self_coupling: 0.985, ..MrrGeometry::weight_bank() };
+        let other_params = GstParameters { endurance_cycles: 60, ..params };
+        let units = [
+            PcmMrr::new(AddDropMrr::new(geometry, ring.resonance()), params),
+            PcmMrr::new(ring, other_params),
+        ];
+        for mut other in units {
+            let lvl = l.level_for(0.3);
+            other.cell.try_program_calibrated(lvl, l.crystallinity_at(lvl)).unwrap();
+            assert_eq!(l.drive_for(&other), None, "{:?}", other.ring().geometry());
+        }
     }
 
     #[test]
